@@ -4,12 +4,10 @@
 Usage:
     check_perf_regression.py BASELINE.json CURRENT.json [--threshold=1.25]
 
-Rows are matched by (name, workload, len, shards, adaptive, threads,
-planner, sessions, offered_rate, batch); older files without per-row
-shards/threads/adaptive/planner/sessions/offered_rate/batch read as
-shards=1 / threads=1 / adaptive=0 / planner=0 / sessions=1 /
-offered_rate=0 / batch=1 throughout, so v1..v5 baselines keep working
-against newer runs. The raw per-row
+Both files must be sjoin-perf-v7 documents. Rows are matched by (name,
+workload, len, shards, threads, planner, sessions, offered_rate); engine
+rows from perf_smoke carry no sessions/offered_rate and read as
+sessions=1 / offered_rate=0. The raw per-row
 ratio current/baseline of ns_per_step is normalized by the median ratio
 across all matched rows before thresholding: CI machines are uniformly
 slower or faster than the laptop that committed the baseline, and that
@@ -27,24 +25,15 @@ speedups over their own threads=1 row: the quick read on whether worker
 threads pay off on this host (on a single-core runner they won't, and
 that's expected).
 
-Adaptive rows (skew-adaptive partition map on) are gated like any other
-threads=1 row — the map's bookkeeping is part of the engine's cost — and
-additionally summarized after the table: per row, the average hot-shard
-load ratio (max/mean candidates scored per shard, per rebalance window)
-under the static equal-width layout vs the evolved one, plus the
-rebalance count. On skewed workloads the adaptive ratio should sit well
-below the static one; on uniform workloads both hover near 1 with few or
-no rebalances.
-
-Serve rows (sjoin-perf-v5, name SERVE-PROB, emitted by bench/serve_load)
+Serve rows (name SERVE-PROB, emitted by bench/serve_load)
 carry `sessions` and `offered_rate` plus the per-step latency
 percentiles p50_step_ns / p99_step_ns; the sessions=1 row is gated (it
 is the scheduler-overhead anchor over a bare engine run) and the sweep
 is summarized after the table — aggregate steps/s and the latency
 percentiles per (sessions, rate, threads) cell.
 
-Planner rows (sjoin-perf-v4 multi-way rows with the runtime probe
-planner + score memos attached) are gated like any other threads=1 row
+Planner rows (multi-way rows with the runtime probe planner + score
+memos attached) are gated like any other threads=1 row
 and summarized after the table: per planner-on row, the steps/sec
 speedup over its planner-off twin plus the probe skip rate, probe-cache
 hit rate and checkpoint re-plan count. The planner is cost-only by
@@ -52,17 +41,9 @@ contract, so a planner pair disagreeing on counted_results in the
 current run is a hard failure — that's a correctness bug, not a perf
 question.
 
-Batch rows (sjoin-perf-v6: `batch` 0 = scalar per-tuple Score() loop,
-1 = batched SoA scoring kernels, the default) are gated like any other
-threads=1 row and summarized after the table: per batch-off row, the
-ns/step speedup its batch-on twin achieves on the same realizations.
-The kernels preserve per-lane operation order by contract, so a batch
-pair disagreeing on counted_results in the current run is a hard
-failure — that's a correctness bug, not a perf question.
-
 Exit status 1 if any normalized threads=1 ratio exceeds the threshold,
-if a baseline row is missing from the current run, or if a planner or
-batch pair disagrees on counted_results.
+if a baseline row is missing from the current run, or if a planner pair
+disagrees on counted_results.
 """
 
 import json
@@ -73,25 +54,18 @@ import sys
 def load_rows(path):
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") not in ("sjoin-perf-v1", "sjoin-perf-v2",
-                                 "sjoin-perf-v3", "sjoin-perf-v4",
-                                 "sjoin-perf-v5", "sjoin-perf-v6"):
+    if doc.get("schema") != "sjoin-perf-v7":
         sys.exit(f"{path}: unexpected schema {doc.get('schema')!r}")
     return {
-        (r["name"], r["workload"], r["len"], r.get("shards", 1),
-         r.get("adaptive", 0), r.get("threads", 1),
-         r.get("planner", 0), r.get("sessions", 1),
-         r.get("offered_rate", 0), r.get("batch", 1)): r
+        (r["name"], r["workload"], r["len"], r["shards"], r["threads"],
+         r["planner"], r.get("sessions", 1), r.get("offered_rate", 0)): r
         for r in doc["results"]
     }
 
 
 def describe(key):
-    (name, workload, length, shards, adaptive, threads, planner,
-     sessions, rate, batch) = key
-    suffix = ", adaptive" if adaptive else ""
-    suffix += ", planner" if planner else ""
-    suffix += ", batch-off" if not batch else ""
+    name, workload, length, shards, threads, planner, sessions, rate = key
+    suffix = ", planner" if planner else ""
     if sessions > 1 or rate > 0:
         suffix += f", sessions={sessions}, rate={rate}"
     return (f"{name} ({workload}, len={length}, shards={shards}, "
@@ -102,8 +76,8 @@ def thread_scaling_summary(rows):
     """Best-threads speedup vs the threads=1 row for each threads sweep."""
     groups = {}
     for key, row in rows.items():
-        group_key = key[:5] + key[6:]  # Everything but the threads axis.
-        groups.setdefault(group_key, {})[key[5]] = row["ns_per_step"]
+        group_key = key[:4] + key[5:]  # Everything but the threads axis.
+        groups.setdefault(group_key, {})[key[4]] = row["ns_per_step"]
     printed_header = False
     for group_key, by_threads in sorted(groups.items()):
         if len(by_threads) < 2 or 1 not in by_threads:
@@ -114,36 +88,14 @@ def thread_scaling_summary(rows):
         serial = by_threads[1]
         best_threads = min(by_threads, key=lambda t: by_threads[t])
         speedup = serial / by_threads[best_threads]
-        (name, workload, length, shards, adaptive, planner, sessions, rate,
-         _batch) = group_key
-        tag = " adaptive" if adaptive else ""
-        tag += " planner" if planner else ""
+        name, workload, length, shards, planner, sessions, rate = group_key
+        tag = " planner" if planner else ""
         if sessions > 1:
             tag += f" n={sessions} rate={rate}"
         print(f"  {name:<18} {workload:<6} len={length:<5} "
               f"shards={shards:<2}{tag} best t={best_threads} "
               f"speedup x{speedup:.2f} "
               f"({serial:.0f} -> {by_threads[best_threads]:.0f} ns/step)")
-
-
-def skew_summary(rows):
-    """Hot-shard load ratio before/after rebalancing, per adaptive row."""
-    printed_header = False
-    for key, row in sorted(rows.items()):
-        if key[4] == 0 or "skew_ratio_static" not in row:
-            continue
-        if not printed_header:
-            print("\nskew balance (current run, max/mean load per shard, "
-                  "averaged over rebalance windows):")
-            printed_header = True
-        name, workload, length, shards, _, threads = key[:6]
-        static = row["skew_ratio_static"]
-        adaptive = row["skew_ratio_adaptive"]
-        print(f"  {name:<18} {workload:<6} len={length:<5} "
-              f"s{shards}/t{threads:<2} static x{static:.2f} -> "
-              f"adaptive x{adaptive:.2f} "
-              f"({row.get('rebalances', 0)} rebalances over "
-              f"{row.get('windows', 0)} windows)")
 
 
 def probe_plan_summary(rows):
@@ -156,9 +108,9 @@ def probe_plan_summary(rows):
     mismatches = 0
     printed_header = False
     for key, row in sorted(rows.items()):
-        if key[6] == 0:
+        if key[5] == 0:
             continue
-        twin_key = key[:6] + (0,) + key[7:]
+        twin_key = key[:5] + (0,) + key[6:]
         twin = rows.get(twin_key)
         if not printed_header:
             print("\nprobe planner (current run, planner-on vs planner-off "
@@ -185,53 +137,19 @@ def probe_plan_summary(rows):
     return mismatches
 
 
-def batch_summary(rows):
-    """Batch-on vs batch-off twins: SoA scoring-kernel speedup per pair.
-
-    Returns the number of batch pairs whose counted_results disagree —
-    the kernels preserve per-lane operation order by contract, so any
-    disagreement is a correctness failure.
-    """
-    mismatches = 0
-    printed_header = False
-    for key, row in sorted(rows.items()):
-        if key[9] != 0:
-            continue
-        twin = rows.get(key[:9] + (1,))
-        if not printed_header:
-            print("\nbatch scoring (current run, batch-on vs batch-off "
-                  "twin):")
-            printed_header = True
-        name, workload, length = key[:3]
-        line = f"  {name:<18} {workload:<6} len={length:<5} "
-        if twin is None:
-            print(line + "no batch-on twin in this run")
-            continue
-        speedup = row["ns_per_step"] / twin["ns_per_step"]
-        line += (f"speedup x{speedup:.2f} "
-                 f"({row['ns_per_step']:.0f} -> {twin['ns_per_step']:.0f} "
-                 f"ns/step)")
-        if row["counted_results"] != twin["counted_results"]:
-            line += (f"  COUNTED_RESULTS DIVERGE ({row['counted_results']} "
-                     f"vs {twin['counted_results']})")
-            mismatches += 1
-        print(line)
-    return mismatches
-
-
 def serve_summary(rows):
     """Serve load sweep: throughput and step-latency tails per cell."""
     printed_header = False
-    for key, row in sorted(rows.items(), key=lambda kv: (kv[0][7],
-                                                         kv[0][8],
-                                                         kv[0][5])):
+    for key, row in sorted(rows.items(), key=lambda kv: (kv[0][6],
+                                                         kv[0][7],
+                                                         kv[0][4])):
         if "p50_step_ns" not in row:
             continue
         if not printed_header:
             print("\nserve load sweep (current run, aggregate throughput "
                   "and per-step latency):")
             printed_header = True
-        name, _, length, _, _, threads, _, sessions, rate = key[:9]
+        name, _, length, _, threads, _, sessions, rate = key
         print(f"  {name:<18} n={sessions:<5} rate={rate:<3} t={threads} "
               f"len={length:<5} "
               f"{row['steps_per_sec']:>10.0f} steps/s  "
@@ -267,7 +185,7 @@ def main(argv):
         key: current[key]["ns_per_step"] / baseline[key]["ns_per_step"]
         for key in matched
     }
-    gated = [key for key in matched if key[5] == 1 and key[7] <= 1]
+    gated = [key for key in matched if key[4] == 1 and key[6] <= 1]
     if not gated:
         sys.exit("no threads=1 rows in common to gate on")
     median = statistics.median(ratios[key] for key in gated)
@@ -277,34 +195,27 @@ def main(argv):
     failed = bool(missing)
     for key in matched:
         normalized = ratios[key] / median
-        if key[5] != 1 or key[7] > 1:
+        if key[4] != 1 or key[6] > 1:
             verdict = "info"
         elif normalized > threshold:
             verdict = f"REGRESSED >{(threshold - 1) * 100:.0f}%"
             failed = True
         else:
             verdict = "ok"
-        tag = "a" if key[4] else ""
-        tag += "p" if key[6] else ""
-        tag += "nb" if not key[9] else ""  # Scalar (no-batch) scoring.
-        serve_cell = f" n={key[7]} rate={key[8]}" if key[7] > 1 else ""
+        tag = "p" if key[5] else ""
+        serve_cell = f" n={key[6]} rate={key[7]}" if key[6] > 1 else ""
         print(f"{verdict:>14}  {key[0]:<18} {key[1]:<6} len={key[2]:<5} "
-              f"s{key[3]}{tag}/t{key[5]:<2} "
+              f"s{key[3]}{tag}/t{key[4]:<2} "
               f"ns/step {baseline[key]['ns_per_step']:>12.0f} -> "
               f"{current[key]['ns_per_step']:>12.0f} "
               f"(raw x{ratios[key]:.3f}, normalized x{normalized:.3f})"
               f"{serve_cell}")
 
     thread_scaling_summary(current)
-    skew_summary(current)
     serve_summary(current)
     if probe_plan_summary(current) > 0:
         print("planner pair counted_results mismatch — the probe planner "
               "must be cost-only")
-        failed = True
-    if batch_summary(current) > 0:
-        print("batch pair counted_results mismatch — the SoA scoring "
-              "kernels must be bit-identical to the scalar path")
         failed = True
 
     if failed:

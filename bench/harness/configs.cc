@@ -65,8 +65,7 @@ JoinWorkload MakeZipf(double s) {
                 static_cast<int>(std::lround(s * 10)));
   workload.name = name;
   // Both streams share the hot head, so hot values both dominate the
-  // cache and join often — the per-shard load the rebalancer sees is as
-  // skewed as the pmf.
+  // cache and join often — the per-shard load is as skewed as the pmf.
   auto pmf = DiscreteDistribution::Zipf(0, 63, s);
   workload.r = std::make_unique<StationaryProcess>(pmf);
   workload.s = std::make_unique<StationaryProcess>(pmf);

@@ -55,8 +55,8 @@ JoinWorkload MakeRoof();
 JoinWorkload MakeFloor();
 JoinWorkload MakeWalk();
 
-/// Skewed workloads for the adaptive-sharding study (DESIGN.md §2e) —
-/// not from the paper, which only evaluates the trend/walk shapes above.
+/// Skewed workloads for the shard-skew rows of perf_smoke — not from the
+/// paper, which only evaluates the trend/walk shapes above.
 /// ZIPF: both streams stationary Zipf over a 64-value domain at exponent
 /// `s` (0.8 mild, 1.2 a hot head the static hash pins onto one shard).
 /// BURSTY: short hot phases of a narrow high-skew window alternating with

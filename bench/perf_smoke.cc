@@ -13,13 +13,10 @@
 // rows are the one exception — an inline (threads=1) shard sweep at
 // {1, 2, 4, 8} shards isolates sharding itself, and a full shards x
 // threads matrix on HEEB-value-incr / CACHE-LRU / CACHE-PROB measures the
-// persistent worker team (sjoin-perf-v3 rows carry shards, threads and an
-// adaptive flag; shards=1/threads=1 rows are the serial baselines the
-// sweeps read against). Skewed workloads (ZIPF08/ZIPF12/BURSTY/REGIME)
-// anchor the skew-adaptive partition map: the ZIPF12 shards x threads
-// block runs static vs adaptive, and adaptive rows carry the hot-shard
-// load ratio before/after rebalancing (skew_ratio_static vs
-// skew_ratio_adaptive) plus the rebalance count.
+// persistent worker team (rows carry shards and threads; shards=1/
+// threads=1 rows are the serial baselines the sweeps read against).
+// Skewed workloads (ZIPF08/ZIPF12/BURSTY/REGIME) run serially, and ZIPF12
+// also across a shards x threads block, so a hot shard is on the roster.
 //
 // sjoin-perf-v4 adds multi-way rows (MULTI-HEEB / MULTI-PROB /
 // EDGE-BUDGET on a 3-way chain and a 5-way star) as planner-off /
@@ -31,13 +28,10 @@
 // planner-on rows carry plan_replans, probe_skip_rate and
 // probe_cache_hit_rate.
 //
-// sjoin-perf-v6 adds a `batch` flag to the row key: batched SoA scoring
-// kernels on (the default) vs the scalar per-tuple Score() loop. The
-// batch-scorable serial rows (HEEB-direct / HEEB-time-incr /
-// HEEB-walk-table / PROB / LIFE) and the CACHE-ECB caching-HEEB pair run
-// batch-off twins on the same realizations; the kernels preserve per-lane
-// operation order, so both sides of a pair must agree on counted_results
-// bit for bit (the checker enforces that and prints the batch speedups).
+// sjoin-perf-v7 drops the v3 `adaptive` and v6 `batch` row-key fields:
+// batch-scorable policies always run their SoA scoring kernels, and the
+// kernels' bit-identity with the scalar path is pinned by the
+// batch_scoring differential suite instead of batch-off twin rows.
 //
 // Usage: perf_smoke [--len=2000] [--runs=3] [--cache=50] [--seed=1]
 //                   [--flow_len=400] [--flow_prune=1]
@@ -65,7 +59,6 @@
 #include "sjoin/core/flow_expect_policy.h"
 #include "sjoin/core/heeb_caching_policy.h"
 #include "sjoin/core/heeb_join_policy.h"
-#include "sjoin/engine/scoring_batch.h"
 #include "sjoin/engine/cache_simulator.h"
 #include "sjoin/engine/caching_policy.h"
 #include "sjoin/engine/join_simulator.h"
@@ -95,31 +88,14 @@ struct ScenarioResult {
   int runs = 0;
   int shards = 1;
   int threads = 1;
-  /// 1 when the run used the skew-adaptive partition map. Part of the row
-  /// key: an adaptive row measures a different engine configuration than
-  /// its static twin at the same (name, workload, len, shards, threads).
-  int adaptive = 0;
   /// 1 when the run attached the runtime probe planner + score memos
   /// (multi-way rows). Part of the row key; planner twins must agree on
   /// counted_results bit for bit.
   int planner = 0;
-  /// 1 when the batched SoA scoring kernels were enabled (the default).
-  /// Part of the row key; a batch-off row measures the scalar per-tuple
-  /// Score() path on the same realizations, and the twins must agree on
-  /// counted_results bit for bit (check_perf_regression.py enforces it).
-  int batch = 1;
   std::int64_t setup_ns = 0;  // Policy construction (all runs).
   std::int64_t run_ns = 0;    // JoinSimulator::Run (all runs).
   std::int64_t counted_results = 0;
   std::int64_t peak_candidates = 0;
-  // Skew telemetry, summed over runs (adaptive rows only): rebalance
-  // windows evaluated, rebalances applied, and the per-window max/mean
-  // load-ratio sums under the static equal-width layout vs the evolved
-  // one — divide by windows for the average ratios the JSON reports.
-  std::int64_t windows = 0;
-  std::int64_t rebalances = 0;
-  double static_ratio_sum = 0.0;
-  double adaptive_ratio_sum = 0.0;
   // Probe-plan telemetry, summed over runs (planner rows only): considered
   // partner probes and how they were served (see engine/probe_planner.h).
   std::int64_t probes = 0;
@@ -144,8 +120,7 @@ template <typename MakePolicy>
 ScenarioResult TimeScenario(const std::string& name,
                             const JoinWorkload& workload, Time len,
                             const Config& config, MakePolicy&& make_policy,
-                            int shards = 1, int threads = 1,
-                            bool adaptive = false, bool batch = true) {
+                            int shards = 1, int threads = 1) {
   ScenarioResult out;
   out.name = name;
   out.workload = workload.name;
@@ -153,11 +128,6 @@ ScenarioResult TimeScenario(const std::string& name,
   out.runs = config.runs;
   out.shards = shards;
   out.threads = threads;
-  out.adaptive = adaptive ? 1 : 0;
-  out.batch = batch ? 1 : 0;
-  // The engine snapshots the flag at session open, so scoping the whole
-  // timing loop pins every run in this row to one kernel path.
-  ScopedScoringBatch scoped_batch(batch);
 
   Rng rng(config.seed);
   std::vector<StreamPair> pairs;
@@ -169,8 +139,7 @@ ScenarioResult TimeScenario(const std::string& name,
   JoinSimulator sim({.capacity = config.cache,
                      .warmup = static_cast<Time>(4 * config.cache),
                      .shards = shards,
-                     .threads = threads,
-                     .adaptive_shards = adaptive});
+                     .threads = threads});
   for (const StreamPair& pair : pairs) {
     Stopwatch setup;
     auto policy = make_policy(pair);
@@ -183,10 +152,6 @@ ScenarioResult TimeScenario(const std::string& name,
     if (result.telemetry.peak_candidates > out.peak_candidates) {
       out.peak_candidates = result.telemetry.peak_candidates;
     }
-    out.windows += result.adaptive.windows;
-    out.rebalances += result.adaptive.rebalances;
-    out.static_ratio_sum += result.adaptive.static_ratio_sum;
-    out.adaptive_ratio_sum += result.adaptive.adaptive_ratio_sum;
   }
   std::int64_t steps = len * config.runs;
   std::fprintf(stderr, "%-18s %-5s s%d/t%d %8.0f steps/s %10.0f ns/step\n",
@@ -208,7 +173,7 @@ ScenarioResult TimeCacheScenario(const std::string& name,
                                  const JoinWorkload& workload, Time len,
                                  const Config& config,
                                  MakePolicy&& make_policy, int shards = 1,
-                                 int threads = 1, bool batch = true) {
+                                 int threads = 1) {
   using PolicyT = typename decltype(make_policy())::element_type;
   ScenarioResult out;
   out.name = name;
@@ -217,8 +182,6 @@ ScenarioResult TimeCacheScenario(const std::string& name,
   out.runs = config.runs;
   out.shards = shards;
   out.threads = threads;
-  out.batch = batch ? 1 : 0;
-  ScopedScoringBatch scoped_batch(batch);
 
   Rng rng(config.seed);
   std::vector<std::vector<Value>> streams;
@@ -353,7 +316,7 @@ void WriteJson(const std::string& path, const Config& config,
   JsonWriter json;
   json.BeginObject();
   json.Key("schema");
-  json.String("sjoin-perf-v6");
+  json.String("sjoin-perf-v7");
   json.Key("len");
   json.Int(config.len);
   json.Key("runs");
@@ -379,12 +342,8 @@ void WriteJson(const std::string& path, const Config& config,
     json.Int(r.shards);
     json.Key("threads");
     json.Int(r.threads);
-    json.Key("adaptive");
-    json.Int(r.adaptive);
     json.Key("planner");
     json.Int(r.planner);
-    json.Key("batch");
-    json.Int(r.batch);
     json.Key("setup_ns");
     json.Int(r.setup_ns);
     json.Key("run_ns");
@@ -397,22 +356,6 @@ void WriteJson(const std::string& path, const Config& config,
     json.Int(r.peak_candidates);
     json.Key("counted_results");
     json.Int(r.counted_results);
-    if (r.adaptive != 0 && r.windows > 0) {
-      // Average max/mean candidates-per-shard ratio over rebalance
-      // windows: what the never-rebalanced equal-width layout would have
-      // seen on the same loads vs what the evolved map saw. The
-      // regression checker prints these side by side; on skewed
-      // workloads skew_ratio_adaptive < skew_ratio_static is the point
-      // of the whole mechanism.
-      json.Key("windows");
-      json.Int(r.windows);
-      json.Key("rebalances");
-      json.Int(r.rebalances);
-      json.Key("skew_ratio_static");
-      json.Double(r.static_ratio_sum / static_cast<double>(r.windows));
-      json.Key("skew_ratio_adaptive");
-      json.Double(r.adaptive_ratio_sum / static_cast<double>(r.windows));
-    }
     if (r.planner != 0 && r.probes > 0) {
       // How Phase 1's considered probes were served: skipped (partner
       // cached nothing), answered from the probe-result cache, or
@@ -553,36 +496,6 @@ int main(int argc, char** argv) {
         return std::make_unique<LifePolicy>(tower.life_window);
       }));
 
-  // Batch-off twins for the batch-scorable serial rows: same workloads,
-  // same realizations, scalar per-tuple Score() instead of the SoA
-  // kernels. counted_results must match the batch-on rows above bit for
-  // bit; the ns/step ratio is the measured kernel speedup the checker
-  // reports.
-  results.push_back(TimeScenario(
-      "HEEB-direct", tower, config.len, config,
-      heeb_on(tower, HeebJoinPolicy::Mode::kDirect, tower.heeb_alpha),
-      /*shards=*/1, /*threads=*/1, /*adaptive=*/false, /*batch=*/false));
-  results.push_back(TimeScenario(
-      "HEEB-time-incr", tower, config.len, config,
-      heeb_on(tower, HeebJoinPolicy::Mode::kTimeIncremental,
-              tower.heeb_alpha),
-      /*shards=*/1, /*threads=*/1, /*adaptive=*/false, /*batch=*/false));
-  results.push_back(TimeScenario(
-      "HEEB-walk-table", walk, config.len, config,
-      heeb_on(walk, HeebJoinPolicy::Mode::kWalkTable,
-              static_cast<double>(config.cache)),
-      /*shards=*/1, /*threads=*/1, /*adaptive=*/false, /*batch=*/false));
-  results.push_back(TimeScenario(
-      "PROB", tower, config.len, config,
-      [&](const StreamPair&) { return std::make_unique<ProbPolicy>(life); },
-      /*shards=*/1, /*threads=*/1, /*adaptive=*/false, /*batch=*/false));
-  results.push_back(TimeScenario(
-      "LIFE", tower, config.len, config,
-      [&](const StreamPair&) {
-        return std::make_unique<LifePolicy>(tower.life_window);
-      },
-      /*shards=*/1, /*threads=*/1, /*adaptive=*/false, /*batch=*/false));
-
   // Caching rows: the same engine running the caching problem through the
   // Theorem 1 reduction (and, for CACHE-PROB, a joining policy crossing
   // over to the caching side).
@@ -600,8 +513,8 @@ int main(int argc, char** argv) {
       "CACHE-PROB", tower, config.len, config,
       [] { return std::make_unique<ProbPolicy>(std::nullopt); }));
   // CACHE-ECB: the model-driven caching surface (caching HEEB realizes
-  // the ECB expected-benefit score, Corollary 4 family) as a batch on/off
-  // pair — the fused CachingHeebBatch kernel vs per-value CachingHeeb.
+  // the ECB expected-benefit score, Corollary 4 family) through the fused
+  // CachingHeebBatch kernel.
   auto cache_ecb_on = [&] {
     return std::make_unique<HeebCachingPolicy>(
         tower.r.get(),
@@ -611,9 +524,6 @@ int main(int argc, char** argv) {
   };
   results.push_back(TimeCacheScenario("CACHE-ECB", tower, config.len, config,
                                       cache_ecb_on));
-  results.push_back(TimeCacheScenario("CACHE-ECB", tower, config.len, config,
-                                      cache_ecb_on, /*shards=*/1,
-                                      /*threads=*/1, /*batch=*/false));
 
   // Shard sweep: the scored policies under the sharded engine at 1/2/4/8
   // value-domain shards, inline (threads = 1), isolating the cost/benefit
@@ -642,10 +552,10 @@ int main(int argc, char** argv) {
         shards));
   }
 
-  // Skewed workloads (adaptive-sharding study): Zipf popularity at two
-  // exponents, bursty phases, and a regime-switching hot set. Serial rows
-  // first — they anchor the skewed workloads' baseline cost and prove the
-  // skew itself doesn't change the serial profile class.
+  // Skewed workloads: Zipf popularity at two exponents, bursty phases, and
+  // a regime-switching hot set. Serial rows first — they anchor the skewed
+  // workloads' baseline cost and show the skew itself doesn't change the
+  // serial profile class.
   JoinWorkload zipf08 = MakeZipf(0.8);
   JoinWorkload zipf12 = MakeZipf(1.2);
   JoinWorkload bursty = MakeBursty();
@@ -668,38 +578,21 @@ int main(int argc, char** argv) {
         }));
   }
 
-  // Skew sweep: the hottest workload (ZIPF12) across shards x threads,
-  // static vs adaptive partitioning. Results are bit-identical across the
-  // whole block (the adaptive map only moves load, never output); the
-  // adaptive rows additionally record the before/after hot-shard load
-  // ratios (skew_ratio_static vs skew_ratio_adaptive) and the rebalance
-  // count. The static TOWER matrix above is the no-skew control: adaptive
-  // off there, and the threads=1 rows here gate any overhead regression.
+  // Skew sweep: the hottest workload (ZIPF12) across shards x threads.
+  // Results are bit-identical across the whole block; the hash partition
+  // leaves one shard hot, so this is where shard imbalance would show.
   for (int shards : {1, 2, 4, 8}) {
     for (int threads : {1, 4}) {
       if (shards == 1 && threads > 1) continue;
-      for (int adaptive = 0; adaptive < 2; ++adaptive) {
-        if (shards == 1 && adaptive == 1) continue;  // Serial: map unused.
-        results.push_back(TimeScenario(
-            "HEEB-time-incr", zipf12, sweep.len, sweep,
-            heeb_on(zipf12, HeebJoinPolicy::Mode::kTimeIncremental,
-                    zipf12.heeb_alpha),
-            shards, threads, adaptive != 0));
-        results.push_back(TimeScenario("PROB", zipf12, sweep.len, sweep,
-                                       prob_on(), shards, threads,
-                                       adaptive != 0));
-      }
+      results.push_back(TimeScenario(
+          "HEEB-time-incr", zipf12, sweep.len, sweep,
+          heeb_on(zipf12, HeebJoinPolicy::Mode::kTimeIncremental,
+                  zipf12.heeb_alpha),
+          shards, threads));
+      results.push_back(TimeScenario("PROB", zipf12, sweep.len, sweep,
+                                     prob_on(), shards, threads));
     }
   }
-
-  // Uniform control for the adaptive overhead: TOWER at threads=1 with
-  // the map on. No skew means (nearly) no rebalances; the row isolates
-  // the bucket-counting cost the checker gates against its static twin.
-  results.push_back(TimeScenario(
-      "HEEB-time-incr", tower, sweep.len, sweep,
-      heeb_on(tower, HeebJoinPolicy::Mode::kTimeIncremental,
-              tower.heeb_alpha),
-      /*shards=*/4, /*threads=*/1, /*adaptive=*/true));
 
   // Shards x threads matrix: the persistent-worker path across every
   // combination of shard count and worker-team size, on the heaviest

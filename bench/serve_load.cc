@@ -6,8 +6,8 @@
 // each Advance slice's wall time divided by its steps, weighted by
 // steps).
 //
-// Rows use the sjoin-perf-v6 schema: the v4 fields plus `sessions`,
-// `offered_rate` and `batch`, which join the row key. Only sessions=1 / threads=1
+// Rows use the sjoin-perf-v7 schema: perf_smoke's fields plus `sessions`
+// and `offered_rate`, which join the row key. Only sessions=1 / threads=1
 // rows feed the regression gate (check_perf_regression.py) — they
 // measure the scheduler's overhead over a bare engine run, which is
 // machine-comparable; multi-session and threaded rows are reported as
@@ -19,11 +19,10 @@
 //                   [--out=BENCH_serve.json] [--append=]
 //
 // --append=FILE splices the rows into FILE's existing "results" array
-// (a BENCH_perf.json written by perf_smoke) and stamps the combined
-// document sjoin-perf-v6 — the CI perf job runs perf_smoke first, then
-// `serve_load --append=BENCH_perf_current.json`, so one file carries the
-// whole perf surface. Without --append a standalone v6 document goes to
-// --out.
+// (a sjoin-perf-v7 BENCH_perf.json written by perf_smoke) — the CI perf
+// job runs perf_smoke first, then `serve_load
+// --append=BENCH_perf_current.json`, so one file carries the whole perf
+// surface. Without --append a standalone v7 document goes to --out.
 
 #include <algorithm>
 #include <cstdio>
@@ -208,9 +207,7 @@ LoadResult RunLoadCell(int sessions, int rate, int threads, Time len,
   return out;
 }
 
-/// One sjoin-perf-v6 results row. Serve rows never touch the batched
-/// scoring kernels' A/B axis; they emit batch=1 (the default engine
-/// configuration they actually run).
+/// One sjoin-perf-v7 results row.
 void WriteRow(JsonWriter& json, const LoadResult& r) {
   const double steps = static_cast<double>(r.steps_executed);
   json.BeginObject();
@@ -226,16 +223,12 @@ void WriteRow(JsonWriter& json, const LoadResult& r) {
   json.Int(1);
   json.Key("threads");
   json.Int(r.threads);
-  json.Key("adaptive");
-  json.Int(0);
   json.Key("planner");
   json.Int(0);
   json.Key("sessions");
   json.Int(r.sessions);
   json.Key("offered_rate");
   json.Int(r.offered_rate);
-  json.Key("batch");
-  json.Int(1);
   json.Key("setup_ns");
   json.Int(r.setup_ns);
   json.Key("run_ns");
@@ -328,26 +321,12 @@ int main(int argc, char** argv) {
       rows_array.substr(1, rows_array.size() - 2);
 
   if (!append_path.empty()) {
-    // Splice into an existing perf_smoke document: bump the schema tag
-    // and insert our rows before the final ']' — perf_smoke's writer
-    // always emits "results" as the last key, so the last ']' in the
-    // file closes that array.
+    // Splice into an existing perf_smoke document: insert our rows
+    // before the final ']' — perf_smoke's writer always emits "results"
+    // as the last key, so the last ']' in the file closes that array.
     std::string text = ReadFile(append_path);
-    bool upgraded = false;
-    for (const char* old_tag : {"\"schema\":\"sjoin-perf-v4\"",
-                                "\"schema\":\"sjoin-perf-v5\""}) {
-      const std::size_t schema_pos = text.find(old_tag);
-      if (schema_pos != std::string::npos) {
-        text.replace(schema_pos, std::string(old_tag).size(),
-                     "\"schema\":\"sjoin-perf-v6\"");
-        upgraded = true;
-        break;
-      }
-    }
-    if (!upgraded && text.find("\"schema\":\"sjoin-perf-v6\"") ==
-                         std::string::npos) {
-      std::fprintf(stderr,
-                   "serve_load: %s is not a sjoin-perf-v4/v5/v6 document\n",
+    if (text.find("\"schema\":\"sjoin-perf-v7\"") == std::string::npos) {
+      std::fprintf(stderr, "serve_load: %s is not a sjoin-perf-v7 document\n",
                    append_path.c_str());
       return 1;
     }
@@ -374,7 +353,7 @@ int main(int argc, char** argv) {
   JsonWriter json;
   json.BeginObject();
   json.Key("schema");
-  json.String("sjoin-perf-v6");
+  json.String("sjoin-perf-v7");
   json.Key("len");
   json.Int(len);
   json.Key("seed");

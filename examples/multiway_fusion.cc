@@ -15,10 +15,6 @@
 //                    construction — only the speed changes — so CI diffs
 //                    the planner-on stdout against the planner-off one.
 //                    Plan statistics go to stderr to keep stdout clean.
-//   --shards=N       request value-domain sharding. Multi-way policies are
-//                    serial-only today, so the engine falls back to the
-//                    serial executor and says why on stderr
-//                    (telemetry.fallback_reason); stdout is unchanged.
 
 #include <cstdio>
 #include <cstdlib>
@@ -38,7 +34,6 @@ int main(int argc, char** argv) {
   int num_streams = 3;
   bool star = false;
   bool planner = false;
-  int shards = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--streams=", 10) == 0) {
       num_streams = std::atoi(argv[i] + 10);
@@ -49,9 +44,6 @@ int main(int argc, char** argv) {
       star = false;
     } else if (std::strncmp(argv[i], "--planner=", 10) == 0) {
       planner = std::atoi(argv[i] + 10) != 0;
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::atoi(argv[i] + 9);
-      if (shards < 1) shards = 1;
     }
   }
 
@@ -78,8 +70,7 @@ int main(int argc, char** argv) {
   }
 
   MultiJoinSimulator sim(num_streams, edges,
-                         {.capacity = 12, .warmup = 100, .shards = shards,
-                          .planner = planner});
+                         {.capacity = 12, .warmup = 100, .planner = planner});
 
   MultiHeebPolicy heeb(feed_ptrs, &sim,
                        {.alpha = 10.0, .horizon = 120,
@@ -88,13 +79,6 @@ int main(int argc, char** argv) {
 
   auto heeb_result = sim.Run(streams, heeb);
   auto rand_result = sim.Run(streams, rand);
-  // Results are identical either way, so the serial fallback of a
-  // --shards=N run is silent on stdout (which CI diffs); report it on
-  // stderr where a misconfigured benchmark will actually see it.
-  if (heeb_result.telemetry.fallback_reason != nullptr) {
-    std::fprintf(stderr, "note: sharded run fell back to serial: %s\n",
-                 heeb_result.telemetry.fallback_reason);
-  }
   std::printf("%s join over %d feeds, 3000 ticks, shared 12-slot cache:\n",
               star ? "star" : "chain", num_streams);
   std::printf("  MULTI-HEEB: %lld results\n",

@@ -23,13 +23,11 @@ int main(int argc, char** argv) {
   // Optional: --shards=N spreads each step's probe + scoring work across
   // N value-domain shards, and --threads=M runs those shards on a
   // persistent team of M workers (default 1 = inline; 0 = one per core,
-  // up to N). --adaptive_shards additionally lets a deterministic
-  // rebalancer move the value->shard ranges to follow skew. The results
-  // are exactly the same — sharding, threading and rebalancing are
-  // bit-identical by construction — so these flags only change speed.
+  // up to N). The results are exactly the same — sharding and threading
+  // are bit-identical by construction, and so are the batched scoring
+  // kernels HEEB runs on — so these flags only change speed.
   int shards = 1;
   int threads = 1;
-  bool adaptive_shards = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--shards=", 9) == 0) {
       shards = std::atoi(argv[i] + 9);
@@ -37,8 +35,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       threads = std::atoi(argv[i] + 10);
       if (threads < 0) threads = 0;
-    } else if (std::strcmp(argv[i], "--adaptive_shards") == 0) {
-      adaptive_shards = true;
     }
   }
 
@@ -64,8 +60,7 @@ int main(int argc, char** argv) {
   JoinSimulator sim({.capacity = 10,
                      .warmup = 40,
                      .shards = shards,
-                     .threads = threads,
-                     .adaptive_shards = adaptive_shards});
+                     .threads = threads});
   auto heeb_result = sim.Run(pair.r, pair.s, heeb);
 
   // Baselines: random eviction and the clairvoyant optimum.

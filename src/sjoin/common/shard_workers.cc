@@ -4,11 +4,6 @@
 
 #include "sjoin/common/check.h"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace sjoin {
 namespace {
 
@@ -33,21 +28,6 @@ inline void CpuRelax() {
   asm volatile("yield" ::: "memory");
 #else
   std::this_thread::yield();
-#endif
-}
-
-void PinToCpu(int worker) {
-#if defined(__linux__)
-  const unsigned ncpu = std::thread::hardware_concurrency();
-  if (ncpu == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(worker) % ncpu, &set);
-  // Best effort: a restricted affinity mask (cgroups, taskset) can make
-  // this fail, and the team works fine unpinned.
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)worker;
 #endif
 }
 
@@ -182,7 +162,6 @@ void ShardWorkers::RunEpoch(EpochFn fn, void* ctx, EpochKind kind) {
 }
 
 void ShardWorkers::WorkerLoop(int worker) {
-  if (options_.pin_threads) PinToCpu(worker);
   WorkerState& state = states_[worker];
   std::uint64_t seen = 0;
   for (;;) {

@@ -103,19 +103,15 @@ class ShardArena {
 class ShardWorkers {
  public:
   /// What an epoch does, for telemetry only: per-kind counters let tests
-  /// assert that e.g. the sharded engine's rare cache-migration epochs
-  /// actually ran (or stayed at zero) without instrumenting the hot loop.
-  /// The kind never changes scheduling — every epoch runs the same way.
-  enum class EpochKind { kGeneric = 0, kStep, kMerge, kMigration };
-  static constexpr int kNumEpochKinds = 4;
+  /// assert e.g. that the sharded engine's parallel merge actually ran
+  /// without instrumenting the hot loop. The kind never changes
+  /// scheduling — every epoch runs the same way.
+  enum class EpochKind { kGeneric = 0, kStep, kMerge };
+  static constexpr int kNumEpochKinds = 3;
 
   struct Options {
     /// Team size, >= 1. 1 = inline (no threads spawned).
     int workers = 1;
-    /// Best-effort pthread affinity for the spawned workers: worker w
-    /// pins to CPU w % hardware_concurrency (Linux only, ignored
-    /// elsewhere). Worker 0 is the caller and is never pinned.
-    bool pin_threads = false;
   };
 
   explicit ShardWorkers(Options options);
@@ -152,7 +148,6 @@ class ShardWorkers {
   ShardArena& arena(int worker);
 
   int num_workers() const { return options_.workers; }
-  const Options& options() const { return options_; }
 
  private:
   /// Cache-line sized/aligned so one worker's completion counter never

@@ -6,7 +6,6 @@
 #include "sjoin/common/check.h"
 #include "sjoin/core/heeb.h"
 #include "sjoin/core/model_repo.h"
-#include "sjoin/engine/scoring_batch.h"
 
 namespace sjoin {
 
@@ -287,8 +286,7 @@ double HeebJoinPolicy::PartnerProbAt(StreamSide side, Value v, Time t,
 }
 
 void HeebJoinPolicy::EnsurePredictions(const PolicyContext& ctx) {
-  const bool want_flat =
-      options_.mode == Mode::kDirect && ScoringBatchEnabled();
+  const bool want_flat = options_.mode == Mode::kDirect;
   if (predictions_time_ == ctx.now &&
       (!want_flat || flat_time_ == ctx.now)) {
     return;

@@ -137,8 +137,8 @@ class HeebJoinPolicy final : public ScoredPolicy {
   double DirectScore(const Tuple& tuple, const PolicyContext& ctx);
 
   /// Builds this step's predictive pmfs if not already current. In
-  /// kDirect with batch scoring enabled, also flattens them for the
-  /// batch kernel (serial call sites only; the parallel phase reads).
+  /// kDirect, also flattens them for the batch kernel (serial call sites
+  /// only; the parallel phase reads).
   void EnsurePredictions(const PolicyContext& ctx);
 
   /// Copies predictions_ into the contiguous per-side layout the kDirect

@@ -20,12 +20,7 @@ CacheRunResult RunReduced(const CacheSimulator::Options& options,
                               .warmup = options.warmup,
                               .window = options.window,
                               .shards = options.shards,
-                              .threads = options.threads,
-                              .pin_threads = options.pin_threads,
-                              .pool = options.pool,
-                              .adaptive = {.enabled = options.adaptive_shards,
-                                           .interval =
-                                               options.adaptive_interval}});
+                              .threads = options.threads});
   BinaryPolicyAdapter adapter(&policy);
   PerfObserver perf;
   EngineRunResult run = engine.Run(

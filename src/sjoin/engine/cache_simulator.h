@@ -5,7 +5,6 @@
 #include <optional>
 #include <vector>
 
-#include "sjoin/common/thread_pool.h"
 #include "sjoin/common/types.h"
 #include "sjoin/engine/caching_policy.h"
 #include "sjoin/engine/replacement_policy.h"
@@ -54,17 +53,6 @@ class CacheSimulator {
     /// Worker threads for the sharded path; 0 = auto (min(shards,
     /// hardware)), 1 = inline. See ShardedStreamEngine::Options::threads.
     int threads = 0;
-    /// Pin sharded-path workers to CPUs (Linux only, best effort).
-    bool pin_threads = false;
-    /// Legacy thread-count hint for the sharded path (not owned; must
-    /// outlive the simulator): when `threads` == 0 a configured pool caps
-    /// the persistent worker team at its size.
-    ThreadPool* pool = nullptr;
-    /// Skew-adaptive sharding (DESIGN.md §2e): deterministic rebalancing
-    /// of the value->shard ranges every `adaptive_interval` steps. Results
-    /// stay bit-identical; only load balance moves.
-    bool adaptive_shards = false;
-    Time adaptive_interval = 32;
   };
 
   explicit CacheSimulator(Options options);

@@ -22,12 +22,7 @@ JoinRunResult JoinSimulator::Run(const std::vector<Value>& r,
                               .warmup = options_.warmup,
                               .window = options_.window,
                               .shards = options_.shards,
-                              .threads = options_.threads,
-                              .pin_threads = options_.pin_threads,
-                              .pool = options_.pool,
-                              .adaptive = {.enabled = options_.adaptive_shards,
-                                           .interval =
-                                               options_.adaptive_interval}});
+                              .threads = options_.threads});
   BinaryPolicyAdapter adapter(&policy);
 
   JoinRunResult result;
@@ -41,7 +36,6 @@ JoinRunResult JoinSimulator::Run(const std::vector<Value>& r,
   result.total_results = run.total_results;
   result.counted_results = run.counted_results;
   result.telemetry = perf.telemetry();
-  result.adaptive = engine.adaptive_stats();
   return result;
 }
 

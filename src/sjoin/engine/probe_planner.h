@@ -22,9 +22,9 @@
 ///    counters, fed by every considered probe;
 ///  - a deterministic re-planner reorders each stream's partner probe list
 ///    at fixed step checkpoints (`now % replan_interval == 0`), highest
-///    observed match rate first — like the PR 7 rebalancer, the plan is a
-///    pure function of the observed prefix of the run, so it replays
-///    identically across reruns and thread counts;
+///    observed match rate first — the plan is a pure function of the
+///    observed prefix of the run, so it replays identically across reruns
+///    and thread counts;
 ///  - a probe-result cache memoizes the cached-partner match count per
 ///    (partner stream, value), shared by every edge that touches the same
 ///    value index, invalidated incrementally as the engine commits inserts

@@ -16,6 +16,15 @@
 /// With distinct `minor` values (tuple ids are unique; so are cached
 /// values in the caching problem) the order is strict and total, which is
 /// what makes top-k selection a pure function of the scores.
+///
+/// A NaN score ranks below every number (including -inf), and two NaN
+/// scores fall through to the (major, minor) tie-break. Without that rule
+/// NaN compares neither greater nor less than anything, the order stops
+/// being a strict weak order, and nth_element, the per-shard sorts and the
+/// merge cascade would each resolve it differently — results would change
+/// with the shard count.
+
+#include <cmath>
 
 namespace sjoin {
 
@@ -27,7 +36,15 @@ namespace sjoin {
 template <typename Major, typename Minor>
 inline bool RankOrderBetter(double score_a, Major major_a, Minor minor_a,
                             double score_b, Major major_b, Minor minor_b) {
-  if (score_a != score_b) return score_a > score_b;
+  // Ordered comparisons on the hot path; NaN is tested only once both
+  // fail and the scores are unordered (at least one is NaN).
+  if (score_a > score_b) return true;
+  if (score_a < score_b) return false;
+  if (score_a != score_b) {
+    const bool nan_a = std::isnan(score_a);
+    const bool nan_b = std::isnan(score_b);
+    if (nan_a != nan_b) return nan_b;
+  }
   if (major_a != major_b) return major_a > major_b;
   return minor_a > minor_b;
 }

@@ -4,7 +4,6 @@
 
 #include "sjoin/common/check.h"
 #include "sjoin/engine/rank_order.h"
-#include "sjoin/engine/scoring_batch.h"
 
 namespace sjoin {
 
@@ -31,7 +30,7 @@ std::vector<Value> ScoredCachingPolicy::SelectRetained(
       score_observer_(ctx.referenced, score);
       candidates.push_back({score, true, ctx.referenced});
     }
-  } else if (ScoringBatchEnabled() && BatchScorable()) {
+  } else if (BatchScorable()) {
     // Values-only SoA batch: cached values in cache order, then the
     // referenced value on a miss — the scalar scoring order.
     batch_values_.assign(ctx.cached->begin(), ctx.cached->end());

@@ -4,7 +4,6 @@
 
 #include "sjoin/common/check.h"
 #include "sjoin/engine/rank_order.h"
-#include "sjoin/engine/scoring_batch.h"
 
 namespace sjoin {
 
@@ -29,8 +28,7 @@ std::vector<TupleId> ScoredPolicy::SelectRetained(const PolicyContext& ctx) {
       score_observer_(t, score);
       ranked_scratch_.push_back({score, t.arrival, t.id});
     }
-  } else if (ctx.batch != nullptr && ScoringBatchEnabled() &&
-             BatchScorable()) {
+  } else if (ctx.batch != nullptr && BatchScorable()) {
     // One fused kernel call over the SoA view; lane order is the scalar
     // scoring order, so the scores are bitwise equal to the loops below.
     SJOIN_CHECK_EQ(ctx.batch->size, total);

@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "sjoin/common/check.h"
+#include "sjoin/common/thread_pool.h"
 #include "sjoin/common/validate.h"
-#include "sjoin/engine/scoring_batch.h"
 
 namespace sjoin {
 namespace {
@@ -28,10 +28,10 @@ ShardedStreamEngine::ShardedStreamEngine(StreamTopology topology,
                                          Options options)
     : options_(options),
       serial_(std::move(topology),
-              StreamEngine::Options{options.capacity, options.warmup,
-                                    options.window, nullptr,
-                                    options.probe_planner}),
-      partition_(static_cast<std::size_t>(
+              StreamEngine::Options{.capacity = options.capacity,
+                                    .warmup = options.warmup,
+                                    .window = options.window}),
+      num_shards_(static_cast<std::uint64_t>(
           options.shards > 1 ? options.shards : 1)) {
   SJOIN_CHECK_GE(options_.shards, 1);
   SJOIN_CHECK_GE(options_.threads, 0);
@@ -63,9 +63,6 @@ int ShardedStreamEngine::DefaultThreads(int shards) {
 int ShardedStreamEngine::effective_threads() const {
   if (options_.shards <= 1) return 1;
   if (options_.threads > 0) return options_.threads;
-  if (options_.pool != nullptr) {
-    return std::min(options_.pool->num_threads(), options_.shards);
-  }
   return DefaultThreads(options_.shards);
 }
 
@@ -105,8 +102,6 @@ EngineRunResult ShardedStreamEngine::Run(
   // The serial/sharded decision is taken here, once per run.
   EngineShardScoring* scoring = DecideScoring(policy);
   if (scoring == nullptr) {
-    adaptive_run_ = false;  // This run partitions nothing.
-    adaptive_stats_ = {};
     return serial_.Run(streams, policy, observers);
   }
   const int n = serial_.topology().num_streams();
@@ -130,8 +125,6 @@ void ShardedStreamEngine::Open(SessionState& session, EnginePolicy& policy,
                                std::vector<StepObserver*> observers) {
   EngineShardScoring* scoring = DecideScoring(policy);
   if (scoring == nullptr) {
-    adaptive_run_ = false;
-    adaptive_stats_ = {};
     serial_.Open(session, serial_.options(), policy, std::move(observers));
     return;
   }
@@ -189,15 +182,6 @@ void ShardedStreamEngine::ProcessShard(const StepEpochContext& step,
           ++slot.produced;
         }
       }
-    }
-  }
-  if (adaptive_run_) {
-    // Per-bucket load evidence for the rebalancer: every cached tuple this
-    // shard scores this step. This worker owns every bucket of this shard,
-    // so the counter writes are race-free and their sums thread-count
-    // independent.
-    for (const StreamTuple& cached : slot.cache) {
-      ++bucket_load_[adaptive_map_->BucketOf(cached.value)];
     }
   }
   if (run_batch_scoring_ && !slot.cache.empty()) {
@@ -292,54 +276,6 @@ void ShardedStreamEngine::MergeEpochThunk(void* raw, int worker) {
   static_cast<ShardedStreamEngine*>(raw)->RunMergeSlice(worker);
 }
 
-void ShardedStreamEngine::MigrationEpochThunk(void* raw, int worker) {
-  static_cast<ShardedStreamEngine*>(raw)->RunMigrationSlice(worker);
-}
-
-void ShardedStreamEngine::RunMigrationSlice(int worker) {
-  const int workers = workers_->num_workers();
-  for (std::size_t shard = static_cast<std::size_t>(worker);
-       shard < slots_.size(); shard += static_cast<std::size_t>(workers)) {
-    ShardSlot& slot = slots_[shard];
-    slot.cache.clear();
-    for (auto& index : slot.value_index) index.clear();
-    // The global cache keeps the merged (serial) order, so rebuilding a
-    // slot as its subsequence preserves the nearly-sorted-runs property
-    // the next step's SortRun relies on.
-    for (const StreamTuple& tuple : cache_) {
-      if (ShardOf(tuple.value) != shard) continue;
-      slot.cache.push_back(tuple);
-      if (run_use_value_index_) {
-        ++slot.value_index[static_cast<std::size_t>(tuple.stream)]
-                          [tuple.value];
-      }
-    }
-  }
-}
-
-void ShardedStreamEngine::MigrateSlots() {
-  // The map moved: cached tuples may now belong to different shards.
-  // Rebuild every slot from the merged global cache — one migration epoch,
-  // each worker rebuilding the slots it owns. Rare (at most one per
-  // rebalance interval) and O(shards x cache / workers), so correctness
-  // beats cleverness here.
-  workers_->RunEpoch(&ShardedStreamEngine::MigrationEpochThunk, this,
-                     ShardWorkers::EpochKind::kMigration);
-}
-
-void ShardedStreamEngine::RebalanceCheckpoint(Time now) {
-  ++adaptive_stats_.windows;
-  adaptive_stats_.static_ratio_sum +=
-      adaptive_map_->StaticLoadRatio(bucket_load_);
-  adaptive_stats_.adaptive_ratio_sum += adaptive_map_->LoadRatio(bucket_load_);
-  if (adaptive_map_->Rebalance(bucket_load_, now)) {
-    ++adaptive_stats_.rebalances;
-    MigrateSlots();
-  }
-  adaptive_stats_.map_version = adaptive_map_->version();
-  std::fill(bucket_load_.begin(), bucket_load_.end(), std::int64_t{0});
-}
-
 void ShardedStreamEngine::FlushPendingViews(
     const std::vector<StepObserver*>& observers) {
   for (const EngineStepView& view : pending_views_) {
@@ -366,10 +302,7 @@ void ShardedStreamEngine::OpenSharded(SessionState& session,
   session.result = EngineRunResult();
   session.policy = &policy;
   session.observers = std::move(observers);
-  session.options =
-      StreamEngine::Options{options_.capacity, options_.warmup,
-                            options_.window, nullptr, nullptr};
-  session.partitions = nullptr;
+  session.options = serial_.options();
   session.sharded_owner = this;
   session.scoring = &scoring;
 
@@ -378,10 +311,9 @@ void ShardedStreamEngine::OpenSharded(SessionState& session,
   // The persistent team is rebuilt only when its shape changes, so
   // repeated runs (benchmark loops) spawn no threads after the first.
   const int threads = effective_threads();
-  if (workers_ == nullptr || workers_->num_workers() != threads ||
-      workers_->options().pin_threads != options_.pin_threads) {
-    workers_ = std::make_unique<ShardWorkers>(ShardWorkers::Options{
-        .workers = threads, .pin_threads = options_.pin_threads});
+  if (workers_ == nullptr || workers_->num_workers() != threads) {
+    workers_ = std::make_unique<ShardWorkers>(
+        ShardWorkers::Options{.workers = threads});
   }
 
   const auto num_shards = static_cast<std::size_t>(options_.shards);
@@ -389,29 +321,9 @@ void ShardedStreamEngine::OpenSharded(SessionState& session,
       !options_.window.has_value() &&
       options_.capacity >= StreamEngine::kValueIndexMinCapacity;
   run_use_value_index_ = use_value_index;
-  // Batch-kernel decision, once per Open: the process-wide switch is read
-  // here (serial code) and never again from worker threads, so a
-  // mid-session flip cannot desynchronize shards.
-  run_batch_scoring_ = ScoringBatchEnabled() && scoring.ShardBatchScorable();
-
-  // Adaptive partitioning: the map is constructed once (the shard count
-  // and bucket space are per-engine constants) and Reset() per run, so
-  // equal runs replay an identical rebalance history.
-  adaptive_run_ = options_.adaptive.enabled;
-  adaptive_stats_ = {};
-  if (adaptive_run_) {
-    if (adaptive_map_ == nullptr) {
-      adaptive_map_ = std::make_unique<AdaptivePartitionMap>(
-          AdaptivePartitionMap::Options{
-              .partitions = options_.shards,
-              .num_buckets = options_.adaptive.num_buckets,
-              .imbalance_ratio = options_.adaptive.imbalance_ratio});
-    } else {
-      adaptive_map_->Reset();
-    }
-    bucket_load_.assign(adaptive_map_->num_buckets(), 0);
-    adaptive_stats_.partitions = options_.shards;
-  }
+  // Batch-kernel decision, once per Open (serial code): a batch-scorable
+  // policy always scores whole shard runs through its kernel.
+  run_batch_scoring_ = scoring.ShardBatchScorable();
 
   slots_.clear();
   slots_.resize(num_shards);
@@ -519,8 +431,6 @@ void ShardedStreamEngine::AdvanceSharded(
   const bool use_value_index = run_use_value_index_;
   const int threads = workers_->num_workers();
   const auto num_shards = static_cast<std::size_t>(options_.shards);
-  const Time rebalance_interval =
-      std::max<Time>(options_.adaptive.interval, 1);
 
   workers_->BeginBatch();
   for (Time i = 0; i < steps; ++i) {
@@ -573,9 +483,6 @@ void ShardedStreamEngine::AdvanceSharded(
       // mutate state here (HEEB inserts incremental entries).
       arrival_scored_.clear();
       for (const StreamTuple& arrival : arrivals_) {
-        if (adaptive_run_) {
-          ++bucket_load_[adaptive_map_->BucketOf(arrival.value)];
-        }
         std::optional<ShardKey> key = scoring.ShardScoreArrival(arrival, ctx);
         if (key.has_value()) arrival_scored_.push_back({*key, arrival});
       }
@@ -828,14 +735,6 @@ void ShardedStreamEngine::AdvanceSharded(
       step_view.arrivals = &arrivals_;
       step_view.retained = &retained_;
       for (StepObserver* observer : observers) observer->OnStep(step_view);
-    }
-
-    // Step boundary: consider a rebalance. Never affects this step's
-    // (already delivered) views, and the decision depends only on the
-    // accumulated bucket loads — no clock, no randomness — so reruns
-    // replay the same version history.
-    if (adaptive_run_ && (t + 1) % rebalance_interval == 0) {
-      RebalanceCheckpoint(t);
     }
     session.now = t + 1;
   }

@@ -9,9 +9,7 @@
 #include <vector>
 
 #include "sjoin/common/shard_workers.h"
-#include "sjoin/common/thread_pool.h"
 #include "sjoin/common/types.h"
-#include "sjoin/engine/partition_map.h"
 #include "sjoin/engine/replacement_policy.h"
 #include "sjoin/engine/step_observer.h"
 #include "sjoin/engine/stream_engine.h"
@@ -51,27 +49,6 @@ namespace sjoin {
 /// StreamEngine: cheap to Run repeatedly, not concurrently.
 class ShardedStreamEngine {
  public:
-  /// Skew-adaptive sharding (DESIGN.md §2e). When enabled (and the run is
-  /// sharded), the static hash partition is replaced by an
-  /// AdaptivePartitionMap: the engine counts candidates scored per
-  /// micro-bucket and, every `interval` steps, lets the map's
-  /// deterministic rebalancer move range boundaries (coalesce the coldest
-  /// adjacent pair, split the hottest range) before migrating cached
-  /// tuples to their new shards on a dedicated worker epoch. Join output
-  /// is bit-identical to the static and serial engines for any setting
-  /// here — the merge order never depends on the partitioning — so these
-  /// knobs trade only load balance.
-  struct AdaptiveOptions {
-    bool enabled = false;
-    /// Steps between rebalance checkpoints; >= 1.
-    Time interval = 32;
-    /// Micro-buckets in the hashed value space (rounded up to a power of
-    /// two, at least 4x shards).
-    int num_buckets = 256;
-    /// Rebalance when max/mean per-shard load exceeds this ratio.
-    double imbalance_ratio = 1.5;
-  };
-
   struct Options {
     /// Cache capacity k.
     std::size_t capacity = 10;
@@ -86,24 +63,6 @@ class ShardedStreamEngine {
     /// values above `shards` spawn extra workers that own no shards
     /// (harmless, so a benchmark matrix can sweep threads independently).
     int threads = 0;
-    /// Pin spawned workers to CPUs (worker w -> CPU w mod hardware);
-    /// Linux only, best effort, never affects results.
-    bool pin_threads = false;
-    /// Legacy thread-count hint (not owned; may be null). The sharded
-    /// step no longer executes on a ThreadPool — persistent per-shard
-    /// workers own it — but when `threads` == 0 a configured pool still
-    /// caps the worker count at its size, so existing callers keep the
-    /// thread budget they configured.
-    ThreadPool* pool = nullptr;
-    /// Skew-adaptive partitioning; see AdaptiveOptions.
-    AdaptiveOptions adaptive;
-    /// Runtime probe planning for the serial path (engine/probe_planner.h;
-    /// not owned, must outlive every Run). Today every multi-way policy is
-    /// serial-only, so this reaches the planner's target workloads; a
-    /// genuinely sharded run (score-decomposable policy, shards > 1)
-    /// ignores it — per-shard Phase 1 already probes exactly one value's
-    /// partition, and its plan stats stay zero.
-    ProbePlanner* probe_planner = nullptr;
   };
 
   ShardedStreamEngine(StreamTopology topology, Options options);
@@ -146,24 +105,12 @@ class ShardedStreamEngine {
   const Options& options() const { return options_; }
 
   /// Worker-team size the sharded path runs with: `threads` when set,
-  /// else the configured pool's size capped at `shards`, else
-  /// DefaultThreads(shards). 1 when shards <= 1.
+  /// else DefaultThreads(shards). 1 when shards <= 1.
   int effective_threads() const;
 
   /// effective_threads() of a default-constructed engine at `shards`,
   /// without building one (for benchmark metadata).
   static int DefaultThreads(int shards);
-
-  /// Skew/rebalance telemetry of the last Run; all-zero when that run was
-  /// not adaptive (serial fallback, shards <= 1, or adaptive disabled).
-  const AdaptiveShardStats& adaptive_stats() const { return adaptive_stats_; }
-
-  /// The adaptive map as left by the last adaptive Run — version(),
-  /// history() and bounds() back the rerun-determinism tests. Null until
-  /// the engine has run adaptively at least once.
-  const AdaptivePartitionMap* adaptive_map() const {
-    return adaptive_map_.get();
-  }
 
   /// Worker-team telemetry (per-kind epoch counters) for tests; null
   /// before the first sharded run.
@@ -256,18 +203,6 @@ class ShardedStreamEngine {
   /// Type-erased trampolines handed to ShardWorkers::RunEpoch.
   static void ShardsEpochThunk(void* raw, int worker);
   static void MergeEpochThunk(void* raw, int worker);
-  static void MigrationEpochThunk(void* raw, int worker);
-
-  /// One rebalance checkpoint: record the window's skew ratios, let the
-  /// adaptive map consider a rebalance against the accumulated bucket
-  /// loads, migrate on change, zero the window counters.
-  void RebalanceCheckpoint(Time now);
-  /// Rebuilds every shard's cache slice and Phase-1 index from the merged
-  /// global cache after the map moved (one kMigration worker epoch).
-  void MigrateSlots();
-  /// Worker w's migration slice: rebuild every slot s with
-  /// s % workers == w.
-  void RunMigrationSlice(int worker);
 
   /// Sorts a scored run best-first. Shard runs enter nearly sorted (the
   /// commit rebuilds shard caches in merged order, and score advancement
@@ -276,9 +211,13 @@ class ShardedStreamEngine {
   /// unique order — the keys are a strict total order.
   static void SortRun(ScoredEntry* run, std::size_t size);
 
+  /// Shard of `value`: a splitmix-style scramble so adjacent values
+  /// spread across shards. Any pure function of the value would do — the
+  /// merge order never depends on which shard a tuple lives in.
   std::size_t ShardOf(Value value) const {
-    return adaptive_run_ ? adaptive_map_->PartitionOf(value)
-                         : partition_.PartitionOf(value);
+    auto x = static_cast<std::uint64_t>(value) * 0x9E3779B97F4A7C15ull;
+    x ^= x >> 32;
+    return static_cast<std::size_t>(x % num_shards_);
   }
 
   /// Sum of growth_events() over the team's arenas (validation hook).
@@ -287,7 +226,8 @@ class ShardedStreamEngine {
   Options options_;
   /// Serial engine: fallback executor and the topology/option holder.
   StreamEngine serial_;
-  HashPartition partition_;
+  /// max(shards, 1), the modulus of ShardOf.
+  std::uint64_t num_shards_;
   /// Why the last Run/Open fell back to serial (static string), or null.
   const char* fallback_reason_ = nullptr;
   /// Guards the engine-resident sharded-run state below: only one sharded
@@ -295,22 +235,11 @@ class ShardedStreamEngine {
   bool sharded_session_open_ = false;
   /// Session backing the sharded path of Run(); reused across calls.
   std::unique_ptr<SessionState> run_session_;
-  /// Adaptive range map; constructed lazily on the first adaptive run and
-  /// Reset() at the start of every later one (rerun determinism).
-  std::unique_ptr<AdaptivePartitionMap> adaptive_map_;
-  /// Whether the *current/last* run partitions through adaptive_map_.
-  bool adaptive_run_ = false;
   bool run_use_value_index_ = false;
   /// Whether the current/last sharded run scores cached runs through the
   /// policy's batch kernel; decided once at OpenSharded from the
-  /// process-wide switch and the scoring's ShardBatchScorable().
+  /// scoring's ShardBatchScorable().
   bool run_batch_scoring_ = false;
-  /// Candidates scored per micro-bucket since the last checkpoint. Each
-  /// bucket belongs to exactly one shard, and each shard to exactly one
-  /// worker per epoch, so workers write disjoint counters — sums are
-  /// deterministic for any thread count.
-  std::vector<std::int64_t> bucket_load_;
-  AdaptiveShardStats adaptive_stats_;
   /// Persistent worker team, rebuilt only when the team shape changes;
   /// reused across Run() calls so steady-state runs spawn no threads.
   std::unique_ptr<ShardWorkers> workers_;

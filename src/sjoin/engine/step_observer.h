@@ -41,12 +41,6 @@ struct EngineTelemetry {
   std::int64_t probe_skips = 0;
   std::int64_t probe_cache_hits = 0;
   std::int64_t plan_replans = 0;
-  /// Null when the run executed as configured. A sharded configuration
-  /// that fell back to the serial executor (results are identical, so
-  /// the fallback is otherwise silent) records the static reason string
-  /// here — filled by façades from
-  /// ShardedStreamEngine::fallback_reason(), not by PerfObserver.
-  const char* fallback_reason = nullptr;
 };
 
 /// Run-constant facts, handed to OnRunBegin / OnRunEnd.

@@ -5,7 +5,6 @@
 #include "sjoin/common/check.h"
 #include "sjoin/common/validate.h"
 #include "sjoin/engine/probe_planner.h"
-#include "sjoin/engine/scoring_batch.h"
 
 namespace sjoin {
 
@@ -44,18 +43,6 @@ const std::vector<int>& StreamTopology::PartnersOf(int stream) const {
   SJOIN_CHECK_LT(stream, num_streams_);
   return partners_[static_cast<std::size_t>(stream)];
 }
-
-namespace {
-
-/// Default partition map for sessions that configure none. A process-wide
-/// constant (SinglePartition is stateless), so sessions stay portable
-/// across engines instead of dangling on the engine that opened them.
-const PartitionMap& SharedSinglePartition() {
-  static const SinglePartition kSingle;
-  return kSingle;
-}
-
-}  // namespace
 
 StreamEngine::StreamEngine(StreamTopology topology, Options options)
     : topology_(std::move(topology)), options_(options) {
@@ -116,33 +103,24 @@ void StreamEngine::OpenWithLength(SessionState& session,
   session.sharded_owner = nullptr;
   session.scoring = nullptr;
   session.batched_observers = false;
-  session.batch_scoring = ScoringBatchEnabled() && policy.WantsCandidateBatch();
+  session.batch_scoring = policy.WantsCandidateBatch();
 
   policy.Reset();
-
-  session.partitions = options.partitions != nullptr
-                           ? options.partitions
-                           : &SharedSinglePartition();
-  const std::size_t num_partitions = session.partitions->num_partitions();
-  SJOIN_CHECK_GE(num_partitions, 1u);
 
   session.cache.clear();
   session.cache.reserve(options.capacity);
   session.histories.assign(n, StreamHistory());
 
-  // Large caches probe arrivals against per-(partition, stream)
-  // value -> count indexes of the cached tuples, maintained with the <= N
-  // insertions and evictions a step can make, instead of scanning the
-  // whole cache. An arrival only probes its own value's partition, which
-  // is the seam a sharded cache exploits. Windowed runs expire tuples by
-  // age, which the value counts cannot see, so they keep the linear
-  // probe; so do tiny caches, where the scan is cheaper.
+  // Large caches probe arrivals against per-stream value -> count
+  // indexes of the cached tuples, maintained with the <= N insertions and
+  // evictions a step can make, instead of scanning the whole cache.
+  // Windowed runs expire tuples by age, which the value counts cannot
+  // see, so they keep the linear probe; so do tiny caches, where the scan
+  // is cheaper.
   session.use_value_index = !options.window.has_value() &&
                             options.capacity >= kValueIndexMinCapacity;
   if (session.use_value_index) {
-    session.value_index.assign(
-        num_partitions,
-        std::vector<std::unordered_map<Value, std::int64_t>>(n));
+    session.value_index.assign(n, {});
   } else {
     session.value_index.clear();
   }
@@ -187,7 +165,6 @@ void StreamEngine::Advance(
   }
 
   const Options& opts = session.options;
-  const PartitionMap* partitions = session.partitions;
   const bool use_value_index = session.use_value_index;
   ProbePlanner* planner = opts.probe_planner;
   EnginePolicy& policy = *session.policy;
@@ -224,8 +201,7 @@ void StreamEngine::Advance(
           } else {
             if (use_value_index) {
               const auto& index =
-                  session.value_index[partitions->PartitionOf(
-                      arrival.value)][static_cast<std::size_t>(partner)];
+                  session.value_index[static_cast<std::size_t>(partner)];
               auto it = index.find(arrival.value);
               if (it != index.end()) matches = it->second;
             } else {
@@ -246,10 +222,9 @@ void StreamEngine::Advance(
       }
     } else if (use_value_index) {
       for (const StreamTuple& arrival : arrivals_) {
-        const auto& shard = session.value_index[partitions->PartitionOf(
-            arrival.value)];
         for (int partner : topology_.PartnersOf(arrival.stream)) {
-          const auto& index = shard[static_cast<std::size_t>(partner)];
+          const auto& index =
+              session.value_index[static_cast<std::size_t>(partner)];
           auto it = index.find(arrival.value);
           if (it != index.end()) produced += it->second;
         }
@@ -340,8 +315,7 @@ void StreamEngine::Advance(
         if (retained_set_.contains(tuple.id)) continue;  // Still cached.
         if (use_value_index) {
           auto& index =
-              session.value_index[partitions->PartitionOf(tuple.value)]
-                                 [static_cast<std::size_t>(tuple.stream)];
+              session.value_index[static_cast<std::size_t>(tuple.stream)];
           auto it = index.find(tuple.value);
           if (--it->second == 0) index.erase(it);
         }
@@ -353,8 +327,7 @@ void StreamEngine::Advance(
       for (const StreamTuple& tuple : arrivals_) {
         if (retained_set_.contains(tuple.id)) {
           if (use_value_index) {
-            ++session.value_index[partitions->PartitionOf(tuple.value)]
-                                 [static_cast<std::size_t>(tuple.stream)]
+            ++session.value_index[static_cast<std::size_t>(tuple.stream)]
                                  [tuple.value];
           }
           if (planner != nullptr) {
@@ -376,13 +349,9 @@ void StreamEngine::Advance(
       if (use_value_index) {
         // The incrementally-maintained value -> count indexes must match
         // a from-scratch recount of the cache.
-        decltype(session.value_index) recount(
-            partitions->num_partitions(),
-            std::vector<std::unordered_map<Value, std::int64_t>>(
-                static_cast<std::size_t>(n)));
+        decltype(session.value_index) recount(static_cast<std::size_t>(n));
         for (const StreamTuple& tuple : session.cache) {
-          ++recount[partitions->PartitionOf(tuple.value)]
-                   [static_cast<std::size_t>(tuple.stream)][tuple.value];
+          ++recount[static_cast<std::size_t>(tuple.stream)][tuple.value];
         }
         SJOIN_VALIDATE_MSG(recount == session.value_index,
                            "value index out of sync with cache contents");

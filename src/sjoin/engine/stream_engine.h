@@ -11,7 +11,6 @@
 
 #include "sjoin/common/types.h"
 #include "sjoin/engine/candidate_batch.h"
-#include "sjoin/engine/partition_map.h"
 #include "sjoin/engine/replacement_policy.h"
 #include "sjoin/engine/step_observer.h"
 #include "sjoin/engine/stream_tuple.h"
@@ -24,7 +23,7 @@
 /// joining problem (Section 2), the N-way multi-join generalization
 /// (Appendix C), and — through the Theorem 1 reduction — the caching
 /// problem. Each step: (Phase 1) the arrivals join the cache selected at
-/// the previous step, partition-locally when the value index is engaged;
+/// the previous step, through a per-stream value index when it is engaged;
 /// (Phase 2) the policy picks the new cache from cached ∪ arrivals.
 /// Everything that merely watches a run (telemetry, composition tracking,
 /// validation, score traces) attaches as a StepObserver chain.
@@ -181,10 +180,6 @@ class StreamEngine {
     Time warmup = 0;
     /// Sliding-window length (Section 7); nullopt = regular join.
     std::optional<Time> window;
-    /// Value-domain partitioning for the Phase-1 index (not owned; must
-    /// outlive the engine). nullptr = single partition. Any PartitionMap
-    /// yields identical results; partitions only shape the index layout.
-    const PartitionMap* partitions = nullptr;
     /// Runtime probe planning for Phase 1 (engine/probe_planner.h): probe
     /// order re-planned from observed selectivities at deterministic
     /// checkpoints, empty-partner probes short-circuited, repeated
@@ -229,8 +224,7 @@ class StreamEngine {
   /// override the engine's own): resets all per-run state, calls
   /// policy.Reset(), binds the observer chain and delivers OnRunBegin
   /// with length = -1 (unknown — arrivals have not happened yet).
-  /// `policy`, `observers`, `options.partitions` and
-  /// `options.probe_planner` are borrowed and must outlive the session.
+  /// `policy`, `observers` and `options.probe_planner` are borrowed and must outlive the session.
   /// Neither a policy instance nor a planner may serve two sessions that
   /// are open at the same time. A closed SessionState can be reopened;
   /// its buffers are reused.
@@ -310,24 +304,19 @@ struct SessionState {
   EnginePolicy* policy = nullptr;
   std::vector<StepObserver*> observers;
   StreamEngine::Options options;
-  /// Resolved partition map: options.partitions, or the process-wide
-  /// trivial partition when that is null.
-  const PartitionMap* partitions = nullptr;
   /// Phase-1 index decision, taken once at Open (same criteria as the
   /// batch run: no window, capacity >= kValueIndexMinCapacity).
   bool use_value_index = false;
   /// Build the per-step CandidateBatch for the policy; decided once at
-  /// Open (batching enabled and the policy wants it), so a mid-session
-  /// flip of the process-wide switch cannot change the session's path.
+  /// Open from EnginePolicy::WantsCandidateBatch().
   bool batch_scoring = false;
 
   // The join state proper: the cache selected at the previous step, each
   // stream's value history, and the Phase-1 acceleration structures.
   std::vector<StreamTuple> cache;
   std::vector<StreamHistory> histories;
-  /// Value -> cached-tuple count, per (partition, stream).
-  std::vector<std::vector<std::unordered_map<Value, std::int64_t>>>
-      value_index;
+  /// Value -> cached-tuple count, per stream.
+  std::vector<std::unordered_map<Value, std::int64_t>> value_index;
   /// Cached tuples per stream; maintained only when a probe planner is
   /// attached (backs its empty-partner short-circuit).
   std::vector<std::int64_t> stream_counts;

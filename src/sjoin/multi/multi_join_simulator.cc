@@ -2,7 +2,6 @@
 
 #include "sjoin/common/check.h"
 #include "sjoin/engine/probe_planner.h"
-#include "sjoin/engine/sharded_stream_engine.h"
 
 namespace sjoin {
 
@@ -11,7 +10,6 @@ MultiJoinSimulator::MultiJoinSimulator(
     Options options)
     : topology_(num_streams, std::move(join_edges)), options_(options) {
   SJOIN_CHECK_GE(options_.capacity, 1u);
-  SJOIN_CHECK_GE(options_.shards, 1);
 }
 
 MultiJoinRunResult MultiJoinSimulator::Run(
@@ -31,20 +29,11 @@ MultiJoinRunResult MultiJoinSimulator::Run(
     planner.emplace(
         ProbePlanner::Options{.replan_interval = options_.replan_interval});
   }
-  ShardedStreamEngine engine(topology_, {.capacity = options_.capacity,
-                                         .warmup = options_.warmup,
-                                         .window = options_.window,
-                                         .shards = options_.shards,
-                                         .threads = options_.threads,
-                                         .pin_threads = options_.pin_threads,
-                                         .pool = options_.pool,
-                                         .adaptive = {
-                                             .enabled =
-                                                 options_.adaptive_shards,
-                                             .interval =
-                                                 options_.adaptive_interval},
-                                         .probe_planner =
-                                             planner ? &*planner : nullptr});
+  StreamEngine engine(topology_,
+                      {.capacity = options_.capacity,
+                       .warmup = options_.warmup,
+                       .window = options_.window,
+                       .probe_planner = planner ? &*planner : nullptr});
   PerfObserver perf;
   EngineRunResult run = engine.Run(stream_ptrs, policy, {&perf});
 
@@ -52,12 +41,6 @@ MultiJoinRunResult MultiJoinSimulator::Run(
   result.total_results = run.total_results;
   result.counted_results = run.counted_results;
   result.telemetry = perf.telemetry();
-  // A run that *asked* for sharding but executed serially (e.g. the
-  // policy has no shard scoring) is correct but easy to misread in a
-  // benchmark; surface the engine's reason instead of staying silent.
-  if (options_.shards > 1) {
-    result.telemetry.fallback_reason = engine.fallback_reason();
-  }
   return result;
 }
 

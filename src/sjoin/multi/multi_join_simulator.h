@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "sjoin/common/thread_pool.h"
 #include "sjoin/common/types.h"
 #include "sjoin/engine/step_observer.h"
 #include "sjoin/engine/stream_engine.h"
@@ -62,31 +61,13 @@ class MultiJoinSimulator {
     std::size_t capacity = 10;
     Time warmup = 0;
     std::optional<Time> window;
-    /// Value-domain shards for intra-run parallelism
-    /// (engine/sharded_stream_engine.h); results are bit-identical for any
-    /// count. <= 1, or a policy without shard scoring, runs serially.
-    int shards = 1;
-    /// Worker threads for the sharded path; 0 = auto (min(shards,
-    /// hardware)), 1 = inline. See ShardedStreamEngine::Options::threads.
-    int threads = 0;
-    /// Pin sharded-path workers to CPUs (Linux only, best effort).
-    bool pin_threads = false;
-    /// Legacy thread-count hint for the sharded path (not owned; must
-    /// outlive the simulator): when `threads` == 0 a configured pool caps
-    /// the persistent worker team at its size.
-    ThreadPool* pool = nullptr;
-    /// Skew-adaptive sharding (DESIGN.md §2e): deterministic rebalancing
-    /// of the value->shard ranges every `adaptive_interval` steps. Results
-    /// stay bit-identical; only load balance moves.
-    bool adaptive_shards = false;
-    Time adaptive_interval = 32;
     /// Runtime probe planning (DESIGN.md §2f): Phase-1 partner probes run
     /// in an order re-planned from observed selectivities at deterministic
     /// checkpoints every `replan_interval` steps, empty partners are
     /// short-circuited, and repeated (partner, value) probes are served
     /// from a probe-result cache. Cost-only — results stay bit-identical;
     /// the run result's telemetry reports probes / skips / cache hits /
-    /// replans. Applies to the serial path (all multi policies today).
+    /// replans.
     bool planner = false;
     Time replan_interval = 64;
   };

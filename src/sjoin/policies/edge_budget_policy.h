@@ -27,8 +27,8 @@
 /// benefit mass accumulated since the last checkpoint is folded into a
 /// decayed counter and k is re-apportioned by largest remainder (ties on
 /// the edge index). Between checkpoints budgets are frozen, so — like the
-/// probe planner and the PR 7 rebalancer — the whole schedule is a pure
-/// function of the observed prefix of the run and replays identically.
+/// probe planner — the whole schedule is a pure function of the observed
+/// prefix of the run and replays identically.
 
 namespace sjoin {
 

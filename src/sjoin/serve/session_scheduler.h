@@ -59,7 +59,7 @@ struct SessionConfig {
 };
 
 /// Admission-control outcome. `reject_reason` is a static string (same
-/// style as EngineTelemetry::fallback_reason): null on success.
+/// style as ShardedStreamEngine::fallback_reason): null on success.
 struct Admission {
   SessionId id = -1;
   const char* reject_reason = nullptr;

@@ -40,8 +40,7 @@ class DiscreteDistribution {
   /// Zipf(s) over the inclusive range [lo, hi]: the mass of lo + i is
   /// proportional to (i + 1)^-s. s = 0 degenerates to BoundedUniform;
   /// larger exponents concentrate mass on the first few values — the
-  /// skewed value-popularity model the adaptive sharding work rebalances
-  /// against.
+  /// skewed value-popularity model behind the hot-shard workloads.
   static DiscreteDistribution Zipf(Value lo, Value hi, double exponent);
 
   /// Normal(mean, sigma^2) discretized to the integer grid (mass of v is

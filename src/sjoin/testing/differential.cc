@@ -22,7 +22,6 @@
 #include "sjoin/engine/probe_planner.h"
 #include "sjoin/engine/scored_caching_policy.h"
 #include "sjoin/engine/scored_policy.h"
-#include "sjoin/engine/scoring_batch.h"
 #include "sjoin/engine/sharded_stream_engine.h"
 #include "sjoin/engine/stream_engine.h"
 #include "sjoin/engine/tuple.h"
@@ -138,27 +137,9 @@ int DiffThreads() {
   return threads;
 }
 
-/// SJOIN_DIFF_ADAPTIVE=1 reruns every optimized engine run with the
-/// skew-adaptive partition map enabled (interval 8, short enough that
-/// rebalances actually fire inside the suites' scenario lengths).
-/// Adaptive sharding is bit-identical by the same merge contract as
-/// static sharding, so all oracles must keep passing unchanged. The hook
-/// is self-sufficient: when SJOIN_DIFF_SHARDS leaves the run serial, the
-/// adaptive reruns default to 4 shards.
-bool DiffAdaptive() {
-  static const bool adaptive = [] {
-    const char* env = std::getenv("SJOIN_DIFF_ADAPTIVE");
-    return env != nullptr && *env != '\0' && std::string_view(env) != "0";
-  }();
-  return adaptive;
-}
-
 /// SJOIN_DIFF_MULTI=1 makes the multi_planner suite additionally rerun
-/// every trial through the MultiJoinSimulator façade (planner on and off)
-/// and through a 4-shard ShardedStreamEngine — multi policies publish no
-/// shard scoring, so the sharded engine must take its serial fallback and
-/// still honor the attached planner. Both reruns must reproduce the
-/// direct-engine results exactly.
+/// every trial through the MultiJoinSimulator façade (planner on and off),
+/// which must reproduce the direct-engine results exactly.
 bool DiffMulti() {
   static const bool multi = [] {
     const char* env = std::getenv("SJOIN_DIFF_MULTI");
@@ -180,22 +161,6 @@ bool DiffServe() {
   return serve;
 }
 
-/// SJOIN_DIFF_BATCH=<0|1> pins the batch_scoring suite's engine runs to
-/// one flag value instead of comparing batch-off against batch-on: 0 runs
-/// every side scalar, anything else runs every side through the batch
-/// kernels. The trial then degenerates to a serial-vs-sharded identity
-/// check under the pinned setting — the TSan job pins it on (together
-/// with SJOIN_DIFF_SHARDS / SJOIN_DIFF_THREADS) so the kernels execute
-/// under the race detector.
-std::optional<bool> DiffBatch() {
-  static const std::optional<bool> batch = []() -> std::optional<bool> {
-    const char* env = std::getenv("SJOIN_DIFF_BATCH");
-    if (env == nullptr || *env == '\0') return std::nullopt;
-    return std::string_view(env) != "0";
-  }();
-  return batch;
-}
-
 /// Runs the optimized joining side of a trial. By default this goes
 /// through the JoinSimulator façade; with SJOIN_DIFF_ENGINE=direct it
 /// constructs the engine + BinaryPolicyAdapter + observer chain by
@@ -213,11 +178,6 @@ JoinRunResult RunOptimizedJoin(const JoinSimulator::Options& options,
   JoinSimulator::Options run_options = options;
   if (DiffShards() > 0) run_options.shards = DiffShards();
   if (DiffThreads() > 0) run_options.threads = DiffThreads();
-  if (DiffAdaptive()) {
-    if (run_options.shards <= 1) run_options.shards = 4;
-    run_options.adaptive_shards = true;
-    run_options.adaptive_interval = 8;
-  }
   if (!direct) return JoinSimulator(run_options).Run(r, s, policy);
 
   // ShardedStreamEngine with shards = 1 delegates to a plain serial
@@ -229,9 +189,7 @@ JoinRunResult RunOptimizedJoin(const JoinSimulator::Options& options,
        .warmup = run_options.warmup,
        .window = run_options.window,
        .shards = run_options.shards,
-       .threads = run_options.threads,
-       .adaptive = {.enabled = run_options.adaptive_shards,
-                    .interval = run_options.adaptive_interval}});
+       .threads = run_options.threads});
   BinaryPolicyAdapter adapter(&policy);
   JoinRunResult result;
   PerfObserver perf;
@@ -1019,11 +977,6 @@ std::optional<std::string> ReductionTrial(std::uint64_t seed) {
   // one under SJOIN_DIFF_THREADS).
   if (DiffShards() > 0) cache_options.shards = DiffShards();
   if (DiffThreads() > 0) cache_options.threads = DiffThreads();
-  if (DiffAdaptive()) {
-    if (cache_options.shards <= 1) cache_options.shards = 4;
-    cache_options.adaptive_shards = true;
-    cache_options.adaptive_interval = 8;
-  }
   CacheSimulator cache_sim(cache_options);
   CacheRunResult cached = cache_sim.Run(references, *policy);
   std::string context = scenario.description + " policy=" + policy->name();
@@ -1121,7 +1074,10 @@ std::optional<std::string> ReductionTrial(std::uint64_t seed) {
 // counts, candidate-set sizes, run totals, and merged telemetry. This is
 // the direct statement of the sharding contract; the SJOIN_DIFF_SHARDS /
 // SJOIN_DIFF_THREADS hooks additionally re-run the other suites' oracles
-// sharded (and threaded).
+// sharded (and threaded). The HEEB-direct, PROB and LIFE variants draw
+// half their scenarios from the skewed pool (Zipf popularity, bursty
+// phases, regime switches), so hot shards run against the serial engine
+// too.
 
 /// Records the full per-step trace of an engine run for exact comparison.
 class EngineTraceObserver final : public StepObserver {
@@ -1202,13 +1158,16 @@ std::optional<std::string> ShardedEngineTrial(std::uint64_t seed) {
   // Rotate over every shard-scorable join policy family. Value-incremental
   // HEEB needs trend processes and no window; the others sample windows.
   const int variant = static_cast<int>(seed % 5);
+  Rng aux(seed ^ kAuxSalt);
+  const bool skewed =
+      (variant == 0 || variant == 1 || variant == 4) && aux.UniformReal() < 0.5;
   options.pool = variant == 3 ? ScenarioGenerator::Pool::kEqualSlopeTrends
+                 : skewed     ? ScenarioGenerator::Pool::kSkewed
                               : ScenarioGenerator::Pool::kIndependent;
   options.window_probability = variant == 3 ? 0.0 : 0.3;
   ScenarioGenerator generator(options);
   Scenario scenario = generator.Sample(seed);
 
-  Rng aux(seed ^ kAuxSalt);
   if (variant != 3 && aux.UniformReal() < 0.3) {
     // Engage the per-shard value->count indexes (unwindowed, capacity >=
     // StreamEngine::kValueIndexMinCapacity).
@@ -1319,175 +1278,7 @@ std::optional<std::string> ShardedEngineTrial(std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Suite 9: adaptive_engine — the skew-adaptive partition map under the
-// workloads it exists for (Zipf popularity, bursty phases, regime
-// switches that move the hot set mid-run) against the serial
-// StreamEngine, bit for bit on full per-step traces. Each case then
-// reruns on the same engine and requires the identical trace AND the
-// identical rebalance history, action for action — the rebalancer is a
-// pure function of observed load, so its decisions must reproduce
-// exactly across reruns and thread counts.
-
-std::optional<std::string> AdaptiveEngineTrial(std::uint64_t seed) {
-  ScenarioGenerator::Options options;
-  options.pool = ScenarioGenerator::Pool::kSkewed;
-  options.min_length = 48;
-  options.max_length = 112;
-  options.min_capacity = 2;
-  options.max_capacity = 8;
-  options.max_horizon = 12;
-  options.window_probability = 0.3;
-  const int variant = static_cast<int>(seed % 4);
-  ScenarioGenerator generator(options);
-  Scenario scenario = generator.Sample(seed);
-
-  Rng aux(seed ^ kAuxSalt);
-  if (aux.UniformReal() < 0.25) {
-    // Engage the per-shard value->count indexes (unwindowed, capacity >=
-    // StreamEngine::kValueIndexMinCapacity) so migration has to rebuild
-    // them alongside the cache slices.
-    scenario.capacity = static_cast<std::size_t>(aux.UniformInt(32, 40));
-    scenario.window.reset();
-  }
-  Rng realization_rng(seed ^ kRealizationSalt);
-  auto [r, s] = SampleRealization(scenario, realization_rng);
-
-  std::unique_ptr<ReplacementPolicy> policy;
-  switch (variant) {
-    case 0:
-    case 1: {
-      HeebJoinPolicy::Options heeb_options;
-      heeb_options.mode = variant == 0
-                              ? HeebJoinPolicy::Mode::kDirect
-                              : HeebJoinPolicy::Mode::kTimeIncremental;
-      if (variant == 1) scenario.window.reset();  // incremental: unwindowed
-      heeb_options.alpha = scenario.alpha;
-      heeb_options.horizon = scenario.horizon;
-      heeb_options.refresh_interval = 8;
-      policy = std::make_unique<HeebJoinPolicy>(scenario.r_process.get(),
-                                                scenario.s_process.get(),
-                                                heeb_options);
-      break;
-    }
-    case 2: {
-      std::optional<Time> assumed_lifetime;
-      if (aux.UniformReal() < 0.5) assumed_lifetime = aux.UniformInt(4, 24);
-      policy = std::make_unique<ProbPolicy>(assumed_lifetime);
-      break;
-    }
-    default:
-      policy = std::make_unique<LifePolicy>(aux.UniformInt(4, 24));
-      break;
-  }
-
-  BinaryPolicyAdapter adapter(policy.get());
-  if (adapter.shard_scoring() == nullptr) {
-    return scenario.description + " policy=" + policy->name() +
-           ": expected a shard-scorable policy (coverage would be vacuous)";
-  }
-
-  const StreamEngine::Options engine_options{.capacity = scenario.capacity,
-                                             .warmup = scenario.warmup,
-                                             .window = scenario.window};
-  StreamEngine serial_engine(StreamTopology::Binary(), engine_options);
-  EngineTraceObserver serial_trace;
-  PerfObserver serial_perf;
-  EngineRunResult serial_run =
-      serial_engine.Run({&r, &s}, adapter, {&serial_perf, &serial_trace});
-
-  // Shards cross threads cross rebalance intervals, including intervals
-  // short enough that several migrations land inside one run.
-  struct AdaptiveCase {
-    int shards;
-    int threads;
-    Time interval;
-  };
-  constexpr AdaptiveCase kCases[] = {
-      {2, 2, 8}, {4, 1, 4}, {4, 4, 8}, {8, 3, 16}};
-  for (const AdaptiveCase c : kCases) {
-    ShardedStreamEngine sharded(
-        StreamTopology::Binary(),
-        {.capacity = scenario.capacity,
-         .warmup = scenario.warmup,
-         .window = scenario.window,
-         .shards = c.shards,
-         .threads = c.threads,
-         .adaptive = {.enabled = true, .interval = c.interval}});
-    EngineTraceObserver trace;
-    PerfObserver perf;
-    EngineRunResult run = sharded.Run({&r, &s}, adapter, {&perf, &trace});
-
-    std::ostringstream context;
-    context << scenario.description << " policy=" << policy->name()
-            << " shards=" << c.shards << " threads=" << c.threads
-            << " interval=" << c.interval;
-    if (run.total_results != serial_run.total_results ||
-        run.counted_results != serial_run.counted_results) {
-      std::ostringstream out;
-      out << context.str() << ": result counts diverge (serial "
-          << serial_run.total_results << "/" << serial_run.counted_results
-          << ", adaptive " << run.total_results << "/" << run.counted_results
-          << ")";
-      return out.str();
-    }
-    if (perf.telemetry().peak_candidates !=
-            serial_perf.telemetry().peak_candidates ||
-        perf.telemetry().steps != serial_perf.telemetry().steps) {
-      std::ostringstream out;
-      out << context.str() << ": telemetry diverges (serial peak "
-          << serial_perf.telemetry().peak_candidates << " steps "
-          << serial_perf.telemetry().steps << ", adaptive peak "
-          << perf.telemetry().peak_candidates << " steps "
-          << perf.telemetry().steps << ")";
-      return out.str();
-    }
-    if (auto mismatch =
-            CompareEngineTraces(context.str(), serial_trace, trace)) {
-      return mismatch;
-    }
-
-    const AdaptivePartitionMap* map = sharded.adaptive_map();
-    if (map == nullptr) {
-      return context.str() + ": adaptive map missing after an adaptive run";
-    }
-    const std::vector<AdaptivePartitionMap::RebalanceAction> history =
-        map->history();
-    const std::uint64_t version = map->version();
-    const AdaptiveShardStats stats = sharded.adaptive_stats();
-    if (stats.windows <= 0) {
-      return context.str() + ": adaptive run recorded no checkpoint windows";
-    }
-
-    EngineTraceObserver rerun_trace;
-    sharded.Run({&r, &s}, adapter, {&rerun_trace});
-    if (auto mismatch = CompareEngineTraces(context.str() + " [rerun]",
-                                            serial_trace, rerun_trace)) {
-      return mismatch;
-    }
-    if (sharded.adaptive_map()->version() != version ||
-        sharded.adaptive_map()->history() != history) {
-      std::ostringstream out;
-      out << context.str()
-          << ": rebalance history diverges across reruns (first run v"
-          << version << " with " << history.size() << " actions, rerun v"
-          << sharded.adaptive_map()->version() << " with "
-          << sharded.adaptive_map()->history().size() << " actions)";
-      return out.str();
-    }
-    const AdaptiveShardStats rerun_stats = sharded.adaptive_stats();
-    if (rerun_stats.windows != stats.windows ||
-        rerun_stats.rebalances != stats.rebalances ||
-        rerun_stats.map_version != stats.map_version ||
-        rerun_stats.static_ratio_sum != stats.static_ratio_sum ||
-        rerun_stats.adaptive_ratio_sum != stats.adaptive_ratio_sum) {
-      return context.str() + ": adaptive stats diverge across reruns";
-    }
-  }
-  return std::nullopt;
-}
-
-// ---------------------------------------------------------------------------
-// Suite 10: multi_planner — the runtime probe planner (DESIGN.md §2f) on
+// Suite 9: multi_planner — the runtime probe planner (DESIGN.md §2f) on
 // multi-way topologies (3-way chain, 5-way star) crossed with the four
 // multi policy families {MULTI-HEEB, MULTI-PROB, MULTI-LIFE, EDGE-BUDGET}.
 // Planner-on runs (re-planned probe order + empty-partner skips + the
@@ -1495,7 +1286,7 @@ std::optional<std::string> AdaptiveEngineTrial(std::uint64_t seed) {
 // fixed-order engine bit for bit on full per-step traces, with the
 // policy's ScoreMemo both off and on; a rerun must additionally replay
 // the identical planner statistics (plans are pure functions of the run
-// prefix). SJOIN_DIFF_MULTI adds façade and sharded-fallback reruns.
+// prefix). SJOIN_DIFF_MULTI adds façade reruns.
 
 std::optional<std::string> MultiPlannerTrial(std::uint64_t seed) {
   Rng aux(seed ^ kAuxSalt);
@@ -1701,33 +1492,12 @@ std::optional<std::string> MultiPlannerTrial(std::uint64_t seed) {
       return context.str() +
              ": planned facade rerun reported no considered probes";
     }
-
-    // Sharded fallback: multi policies publish no shard scoring, so the
-    // sharded engine must fall back to its serial path and still honor
-    // the attached planner.
-    ProbePlanner fallback_planner({.replan_interval = replan_interval});
-    ShardedStreamEngine sharded(topology,
-                                {.capacity = capacity,
-                                 .warmup = warmup,
-                                 .window = window,
-                                 .shards = 4,
-                                 .threads = 2,
-                                 .probe_planner = &fallback_planner});
-    EngineTraceObserver trace;
-    const EngineRunResult run = sharded.Run(stream_ptrs, *plain, {&trace});
-    if (run.counted_results != naive_run.counted_results) {
-      return context.str() + ": sharded-fallback rerun diverges";
-    }
-    if (auto mismatch = CompareEngineTraces(
-            context.str() + " [sharded-fallback]", naive_trace, trace)) {
-      return mismatch;
-    }
   }
   return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------
-// Suite 11: serve_scheduler — N concurrent sessions multiplexed through a
+// Suite 10: serve_scheduler — N concurrent sessions multiplexed through a
 // serve::SessionScheduler (seed-rotated WRR quotas, weights and worker
 // counts, randomly chunked arrival interleavings, and sometimes a tight
 // queue that sheds offers at the high watermark) against a solo
@@ -1969,27 +1739,29 @@ std::optional<std::string> ServeSchedulerTrial(std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Suite 12: batch_scoring — the batched SoA scoring kernels against the
+// Suite 11: batch_scoring — the batched SoA scoring kernels against the
 // scalar per-tuple path, bit for bit on full per-step traces. Each trial
 // rotates over every batch-scorable policy family (HEEB kDirect /
 // kTimeIncremental / kWalkTable, PROB, LIFE, caching HEEB) and runs the
-// same realization four ways: serial batch-off (baseline), serial
-// batch-on, sharded 4x2 batch-off, sharded 4x2 batch-on. The kernels
-// preserve per-lane operation order, so every run must reproduce the
-// baseline exactly — scores, retained sets, produced counts, telemetry.
-// SJOIN_DIFF_BATCH pins all four runs to one flag value instead (see
-// DiffBatch above).
+// same realization three ways: serial scalar (the baseline: an attached
+// score observer forces the per-tuple Score() path), serial kernel, and
+// sharded kernel (4 shards on 2 worker threads, or SJOIN_DIFF_SHARDS x
+// SJOIN_DIFF_THREADS when set). The kernels preserve per-lane operation
+// order, so every run must reproduce the baseline exactly — scores,
+// retained sets, produced counts, telemetry.
+
+/// Shard/thread shape of the batch_scoring suite's sharded kernel run.
+int BatchShards() { return DiffShards() > 0 ? DiffShards() : 4; }
+int BatchThreads() { return DiffThreads() > 0 ? DiffThreads() : 2; }
 
 std::optional<std::string> BatchScoringTrial(std::uint64_t seed) {
-  const bool off_flag = DiffBatch().value_or(false);
-  const bool on_flag = DiffBatch().value_or(true);
   const int variant = static_cast<int>(seed % 6);
 
   if (variant == 5) {
     // Caching surface: HeebCachingPolicy kDirect (CachingHeebBatch fused
     // kernel) or kWalkTable (precomputed-table gather) under the
-    // CacheSimulator, serial and sharded, batch off and on. All four
-    // hit/miss counters must agree with the serial batch-off baseline.
+    // CacheSimulator. All four hit/miss counters of the kernel runs must
+    // agree with the serial scalar baseline.
     ScenarioGenerator::Options options;
     options.min_length = 48;
     options.max_length = 110;
@@ -2019,34 +1791,38 @@ std::optional<std::string> BatchScoringTrial(std::uint64_t seed) {
     cache_options.capacity = scenario.capacity;
     cache_options.warmup = scenario.warmup;
     cache_options.window = scenario.window;
-    auto run_cache = [&](bool batch, int shards, int threads) {
-      ScopedScoringBatch scoped(batch);
-      CacheSimulator::Options run_options = cache_options;
-      if (shards > 0) {
-        run_options.shards = shards;
-        run_options.threads = threads;
-      }
-      return CacheSimulator(run_options).Run(references, policy);
-    };
 
-    const CacheRunResult base = run_cache(off_flag, 0, 0);
+    std::int64_t scalar_scores = 0;
+    policy.set_score_observer([&scalar_scores](Value, double) {
+      ++scalar_scores;
+    });
+    const CacheRunResult base = CacheSimulator(cache_options).Run(references,
+                                                                  policy);
+    policy.set_score_observer(nullptr);
+    if (scalar_scores == 0 && !references.empty()) {
+      return scenario.description + " policy=" + policy.name() +
+             ": the scalar baseline scored nothing (coverage would be "
+             "vacuous)";
+    }
+
+    CacheSimulator::Options sharded_options = cache_options;
+    sharded_options.shards = BatchShards();
+    sharded_options.threads = BatchThreads();
     struct CacheCase {
       const char* name;
-      bool batch;
-      int shards;
-      int threads;
+      CacheSimulator::Options options;
     };
-    const CacheCase kCases[] = {{"serial batch-on", on_flag, 0, 0},
-                                {"sharded batch-off", off_flag, 4, 2},
-                                {"sharded batch-on", on_flag, 4, 2}};
+    const CacheCase kCases[] = {{"serial kernel", cache_options},
+                                {"sharded kernel", sharded_options}};
     for (const CacheCase& c : kCases) {
-      const CacheRunResult run = run_cache(c.batch, c.shards, c.threads);
+      const CacheRunResult run = CacheSimulator(c.options).Run(references,
+                                                               policy);
       if (run.hits != base.hits || run.misses != base.misses ||
           run.counted_hits != base.counted_hits ||
           run.counted_misses != base.counted_misses) {
         std::ostringstream out;
         out << scenario.description << " policy=" << policy.name() << " ["
-            << c.name << "]: cache counters diverge from serial batch-off "
+            << c.name << "]: cache counters diverge from serial scalar "
             << "(base " << base.hits << "h/" << base.misses << "m counted "
             << base.counted_hits << "/" << base.counted_misses << ", got "
             << run.hits << "h/" << run.misses << "m counted "
@@ -2078,7 +1854,7 @@ std::optional<std::string> BatchScoringTrial(std::uint64_t seed) {
   Rng realization_rng(seed ^ kRealizationSalt);
   auto [r, s] = SampleRealization(scenario, realization_rng);
 
-  std::unique_ptr<ReplacementPolicy> policy;
+  std::unique_ptr<ScoredPolicy> policy;
   switch (variant) {
     case 0:
     case 1:
@@ -2111,50 +1887,51 @@ std::optional<std::string> BatchScoringTrial(std::uint64_t seed) {
   const StreamEngine::Options engine_options{.capacity = scenario.capacity,
                                              .warmup = scenario.warmup,
                                              .window = scenario.window};
-  auto run_engine = [&](bool batch, int shards, int threads,
-                        EngineTraceObserver* trace, PerfObserver* perf) {
-    ScopedScoringBatch scoped(batch);
-    if (shards == 0) {
-      StreamEngine engine(StreamTopology::Binary(), engine_options);
-      return engine.Run({&r, &s}, adapter, {perf, trace});
-    }
-    ShardedStreamEngine engine(StreamTopology::Binary(),
-                               {.capacity = scenario.capacity,
-                                .warmup = scenario.warmup,
-                                .window = scenario.window,
-                                .shards = shards,
-                                .threads = threads});
-    return engine.Run({&r, &s}, adapter, {perf, trace});
-  };
-
   EngineTraceObserver base_trace;
   PerfObserver base_perf;
+  std::int64_t scalar_scores = 0;
+  policy->set_score_observer([&scalar_scores](const Tuple&, double) {
+    ++scalar_scores;
+  });
   const EngineRunResult base_run =
-      run_engine(off_flag, 0, 0, &base_trace, &base_perf);
+      StreamEngine(StreamTopology::Binary(), engine_options)
+          .Run({&r, &s}, adapter, {&base_perf, &base_trace});
+  policy->set_score_observer(nullptr);
+  if (scalar_scores == 0 && !r.empty()) {
+    return scenario.description + " policy=" + policy->name() +
+           ": the scalar baseline scored nothing (coverage would be vacuous)";
+  }
 
-  struct EngineCase {
-    const char* name;
-    bool batch;
-    int shards;
-    int threads;
-  };
-  const EngineCase kCases[] = {{"serial batch-on", on_flag, 0, 0},
-                               {"sharded batch-off", off_flag, 4, 2},
-                               {"sharded batch-on", on_flag, 4, 2}};
-  for (const EngineCase& c : kCases) {
+  for (const bool sharded : {false, true}) {
     EngineTraceObserver trace;
     PerfObserver perf;
-    const EngineRunResult run =
-        run_engine(c.batch, c.shards, c.threads, &trace, &perf);
+    EngineRunResult run;
+    if (sharded) {
+      ShardedStreamEngine engine(StreamTopology::Binary(),
+                                 {.capacity = scenario.capacity,
+                                  .warmup = scenario.warmup,
+                                  .window = scenario.window,
+                                  .shards = BatchShards(),
+                                  .threads = BatchThreads()});
+      run = engine.Run({&r, &s}, adapter, {&perf, &trace});
+      if (engine.fallback_reason() != nullptr) {
+        return scenario.description + " policy=" + policy->name() +
+               ": sharded kernel run fell back to serial (" +
+               engine.fallback_reason() + ")";
+      }
+    } else {
+      run = StreamEngine(StreamTopology::Binary(), engine_options)
+                .Run({&r, &s}, adapter, {&perf, &trace});
+    }
 
     std::ostringstream context;
     context << scenario.description << " policy=" << policy->name() << " ["
-            << c.name << "]";
+            << (sharded ? "sharded" : "serial") << " kernel]";
     if (run.total_results != base_run.total_results ||
         run.counted_results != base_run.counted_results) {
       std::ostringstream out;
       out << context.str() << ": result counts diverge from serial "
-          << "batch-off (base " << base_run.total_results << "/"
+          << "scalar (base " << base_run.total_results << "/"
           << base_run.counted_results << ", got " << run.total_results
           << "/" << run.counted_results << ")";
       return out.str();
@@ -2163,7 +1940,7 @@ std::optional<std::string> BatchScoringTrial(std::uint64_t seed) {
             base_perf.telemetry().peak_candidates ||
         perf.telemetry().steps != base_perf.telemetry().steps) {
       std::ostringstream out;
-      out << context.str() << ": telemetry diverges from serial batch-off "
+      out << context.str() << ": telemetry diverges from serial scalar "
           << "(base peak " << base_perf.telemetry().peak_candidates
           << " steps " << base_perf.telemetry().steps << ", got peak "
           << perf.telemetry().peak_candidates << " steps "
@@ -2208,14 +1985,9 @@ const std::vector<DifferentialSuite>& Registry() {
        1000, &ReductionTrial},
       {"sharded_engine",
        "ShardedStreamEngine at shards {1,2,4,8} x worker threads vs the "
-       "serial StreamEngine: per-step retained/cache/produced traces and "
-       "telemetry, bit for bit",
+       "serial StreamEngine on independent and skewed workloads: per-step "
+       "retained/cache/produced traces and telemetry, bit for bit",
        1000, &ShardedEngineTrial},
-      {"adaptive_engine",
-       "skew-adaptive ShardedStreamEngine on Zipf / bursty / "
-       "regime-switching workloads vs the serial StreamEngine, bit for "
-       "bit, plus rerun determinism of the rebalance history",
-       1000, &AdaptiveEngineTrial},
       {"multi_planner",
        "runtime probe planner on 3-way chain / 5-way star topologies x "
        "{MULTI-HEEB, MULTI-PROB, MULTI-LIFE, EDGE-BUDGET} vs the naive "
@@ -2229,9 +2001,10 @@ const std::vector<DifferentialSuite>& Registry() {
        "arrivals, bit for bit, plus scheduler accounting invariants",
        1000, &ServeSchedulerTrial},
       {"batch_scoring",
-       "batched SoA scoring kernels vs the scalar per-tuple path across "
-       "{HEEB kDirect/kTimeIncremental/kWalkTable, PROB, LIFE, caching "
-       "HEEB} x serial/sharded engines, bit for bit on full traces",
+       "batched SoA scoring kernels, serial and sharded, vs the "
+       "observer-forced scalar per-tuple path across {HEEB "
+       "kDirect/kTimeIncremental/kWalkTable, PROB, LIFE, caching HEEB}, "
+       "bit for bit on full traces",
        1000, &BatchScoringTrial},
   };
   return suites;

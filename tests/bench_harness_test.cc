@@ -107,14 +107,13 @@ TEST(BenchHarnessTest, PerfSmokeEmitsValidJson) {
   std::ostringstream text;
   text << in.rdbuf();
   EXPECT_TRUE(JsonParses(text.str()));
-  EXPECT_NE(text.str().find("\"schema\":\"sjoin-perf-v6\""),
+  EXPECT_NE(text.str().find("\"schema\":\"sjoin-perf-v7\""),
             std::string::npos);
   EXPECT_NE(text.str().find("\"peak_candidates\""), std::string::npos);
   EXPECT_NE(text.str().find("\"shards\":8"), std::string::npos);
-  EXPECT_NE(text.str().find("\"skew_ratio_adaptive\""), std::string::npos);
+  EXPECT_NE(text.str().find("\"workload\":\"ZIPF12\""), std::string::npos);
   EXPECT_NE(text.str().find("\"planner\":1"), std::string::npos);
   EXPECT_NE(text.str().find("\"probe_cache_hit_rate\""), std::string::npos);
-  EXPECT_NE(text.str().find("\"batch\":0"), std::string::npos);
   std::remove(out.c_str());
 }
 #endif  // PERF_SMOKE_BIN

@@ -1,10 +1,10 @@
 // Differential suite for the batched SoA scoring kernels: every
 // batch-scorable policy family (HEEB kDirect / kTimeIncremental /
-// kWalkTable, PROB, LIFE, caching HEEB) run serial and sharded with batch
-// scoring off and on, comparing full per-step traces (or all four cache
-// counters) bit for bit against the serial scalar baseline. The
-// SJOIN_DIFF_BATCH env hook pins both sides to one flag value — the TSan
-// job uses it to drive the batch kernels under the race detector.
+// kWalkTable, PROB, LIFE, caching HEEB) runs its kernel serial and
+// sharded, comparing full per-step traces (or all four cache counters)
+// bit for bit against a serial baseline whose attached score observer
+// forces the scalar per-tuple path. SJOIN_DIFF_SHARDS / SJOIN_DIFF_THREADS
+// reshape the sharded kernel run (the TSan job runs it on 4 threads).
 
 #include <gtest/gtest.h>
 

@@ -4,8 +4,8 @@
 // against the naive fixed-order engine on 3-way chain and 5-way star
 // topologies, bit for bit on full per-step traces, plus rerun determinism
 // of the planner statistics. (The SJOIN_DIFF_MULTI env hook additionally
-// reruns each trial through the MultiJoinSimulator façade and the sharded
-// engine's serial fallback; CI's TSan job runs with it set.)
+// reruns each trial through the MultiJoinSimulator façade; CI's TSan job
+// runs with it set.)
 
 #include <gtest/gtest.h>
 

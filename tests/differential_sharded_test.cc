@@ -1,6 +1,6 @@
 // Differential suite for the sharded engine: ShardedStreamEngine at shard
 // counts {1, 2, 4, 8} against the serial StreamEngine on the same
-// realization and policy, comparing per-step retained/cache/produced
+// realization and policy (independent and skewed workloads), comparing per-step retained/cache/produced
 // traces and run telemetry bit for bit. (The SJOIN_DIFF_SHARDS env hook
 // additionally reruns the other suites' optimized sides sharded; this
 // suite is the dedicated, always-on statement of the contract.)

@@ -1,26 +1,26 @@
 // ShardedStreamEngine: value-domain sharding must be invisible in the
 // output — bit-identical per-step traces, totals and telemetry for any
 // shard count AND any worker-team size (inline, fewer/equal/more threads
-// than shards, pinned or not) — for scored (shard-scorable) policies;
-// policies without shard scoring fall back to the serial engine through
-// the same API; the façades plumb Options::shards / threads / pool.
+// than shards) — for scored (shard-scorable) policies, including skewed
+// inputs and NaN scores; policies without shard scoring fall back to the
+// serial engine through the same API; the façades plumb Options::shards /
+// threads.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "sjoin/common/rng.h"
-#include "sjoin/common/thread_pool.h"
 #include "sjoin/engine/cache_simulator.h"
 #include "sjoin/engine/join_simulator.h"
+#include "sjoin/engine/rank_order.h"
+#include "sjoin/engine/scored_policy.h"
 #include "sjoin/engine/sharded_stream_engine.h"
 #include "sjoin/engine/step_observer.h"
 #include "sjoin/engine/stream_engine.h"
-#include "sjoin/multi/multi_join_simulator.h"
 #include "sjoin/policies/life_policy.h"
 #include "sjoin/policies/lru_policy.h"
 #include "sjoin/policies/prob_policy.h"
@@ -158,33 +158,6 @@ TEST(ShardedStreamEngineTest, FacadeShardsOptionIsBitIdentical) {
   EXPECT_EQ(cache_serial.misses, cache_sharded.misses);
   EXPECT_EQ(cache_serial.counted_hits, cache_sharded.counted_hits);
   EXPECT_EQ(cache_serial.counted_misses, cache_sharded.counted_misses);
-
-  // MultiJoinSimulator plumbs shards too; its policies are EnginePolicy
-  // implementations without shard scoring, so this exercises the serial
-  // fallback end to end through the multi façade.
-  std::vector<std::vector<Value>> streams{SampleValues(150, 6, rng),
-                                          SampleValues(150, 6, rng),
-                                          SampleValues(150, 6, rng)};
-  class KeepNewest final : public EnginePolicy {
-   public:
-    std::vector<TupleId> SelectRetained(const EngineContext& ctx) override {
-      std::vector<TupleId> ids;
-      for (const StreamTuple& t : *ctx.cached) ids.push_back(t.id);
-      for (const StreamTuple& t : *ctx.arrivals) ids.push_back(t.id);
-      std::sort(ids.begin(), ids.end(), std::greater<TupleId>());
-      if (ids.size() > ctx.capacity) ids.resize(ctx.capacity);
-      return ids;
-    }
-    const char* name() const override { return "keep-newest"; }
-  } keep_newest;
-  std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}};
-  MultiJoinRunResult multi_serial =
-      MultiJoinSimulator(3, edges, {.capacity = 5}).Run(streams, keep_newest);
-  MultiJoinRunResult multi_sharded =
-      MultiJoinSimulator(3, edges, {.capacity = 5, .shards = 4})
-          .Run(streams, keep_newest);
-  EXPECT_EQ(multi_serial.total_results, multi_sharded.total_results);
-  EXPECT_EQ(multi_serial.counted_results, multi_sharded.counted_results);
 }
 
 TEST(ShardedStreamEngineTest, ThreadsAreBitIdenticalAtEveryTeamSize) {
@@ -270,39 +243,14 @@ TEST(ShardedStreamEngineTest, BatchedObserverDeliveryMatchesClassic) {
             classic_perf.telemetry().peak_candidates);
 }
 
-TEST(ShardedStreamEngineTest, PinnedThreadsAreBitIdentical) {
-  // Affinity is a best-effort placement hint; output must not change.
-  Rng rng(61);
-  std::vector<Value> r = SampleValues(200, 9, rng);
-  std::vector<Value> s = SampleValues(200, 9, rng);
-  ProbPolicy prob;
-  JoinRunResult serial = JoinSimulator({.capacity = 6}).Run(r, s, prob);
-  JoinSimulator::Options options{.capacity = 6};
-  options.shards = 4;
-  options.threads = 4;
-  options.pin_threads = true;
-  JoinRunResult pinned = JoinSimulator(options).Run(r, s, prob);
-  EXPECT_EQ(serial.total_results, pinned.total_results);
-  EXPECT_EQ(serial.counted_results, pinned.counted_results);
-}
-
-TEST(ShardedStreamEngineTest, ExternalPoolIsSharedAndReusable) {
+TEST(ShardedStreamEngineTest, FacadeIsReusableAcrossRuns) {
   Rng rng(43);
   std::vector<Value> r = SampleValues(200, 9, rng);
   std::vector<Value> s = SampleValues(200, 9, rng);
   ProbPolicy prob;
 
   JoinRunResult serial = JoinSimulator({.capacity = 6}).Run(r, s, prob);
-
-  // Since the persistent-worker rework the pool is a legacy thread-count
-  // hint: the engine no longer submits step work to it, but a configured
-  // pool still caps the worker-team size (here: 2 workers for 4 shards).
-  // Results stay bit-identical and the simulator stays reusable.
-  ThreadPool pool(2);
-  JoinSimulator::Options options{.capacity = 6};
-  options.shards = 4;
-  options.pool = &pool;
-  JoinSimulator sim(options);
+  JoinSimulator sim({.capacity = 6, .shards = 4, .threads = 2});
   for (int run = 0; run < 3; ++run) {
     JoinRunResult sharded = sim.Run(r, s, prob);
     EXPECT_EQ(serial.total_results, sharded.total_results) << run;
@@ -330,12 +278,8 @@ TEST(ShardedStreamEngineTest, DefaultThreadsIsBoundedByShards) {
   EXPECT_LE(ShardedStreamEngine::DefaultThreads(8), 8);
 }
 
-// ---------------------------------------------------------------------------
-// Skew-adaptive partitioning (Options::adaptive)
-
 /// A Zipf-skewed value stream: value v with mass ~ (v+1)^-s over
-/// [0, domain). The hot head makes the static hash partition lopsided,
-/// which is what forces the rebalancer to act.
+/// [0, domain). The hot head loads one shard far above the others.
 std::vector<Value> SampleZipfValues(Time len, Value domain, double s,
                                     Rng& rng) {
   std::vector<double> cdf(static_cast<std::size_t>(domain));
@@ -355,173 +299,75 @@ std::vector<Value> SampleZipfValues(Time len, Value domain, double s,
   return out;
 }
 
-TEST(ShardedStreamEngineTest, AdaptiveRunsMatchSerialBitForBit) {
+TEST(ShardedStreamEngineTest, SkewedInputsMatchSerialBitForBit) {
   Rng rng(67);
   for (std::size_t capacity : {std::size_t{4}, std::size_t{40}}) {
     std::vector<Value> r = SampleZipfValues(400, 24, 1.2, rng);
     std::vector<Value> s = SampleZipfValues(400, 24, 1.2, rng);
     ProbPolicy prob;
-    BinaryPolicyAdapter adapter(&prob);
-    StreamEngine::Options options{.capacity = capacity, .warmup = 20};
-
-    StreamEngine serial(StreamTopology::Binary(), options);
-    TraceObserver serial_trace;
-    EngineRunResult serial_run = serial.Run({&r, &s}, adapter, {&serial_trace});
-
-    for (int shards : {2, 4, 8}) {
-      for (int threads : {1, 4}) {
-        ShardedStreamEngine engine(
-            StreamTopology::Binary(),
-            {.capacity = capacity,
-             .warmup = options.warmup,
-             .shards = shards,
-             .threads = threads,
-             .adaptive = {.enabled = true, .interval = 16}});
-        TraceObserver trace;
-        EngineRunResult run = engine.Run({&r, &s}, adapter, {&trace});
-
-        EXPECT_EQ(serial_run.total_results, run.total_results)
-            << shards << "x" << threads;
-        EXPECT_EQ(serial_run.counted_results, run.counted_results)
-            << shards << "x" << threads;
-        EXPECT_EQ(serial_trace.retained(), trace.retained())
-            << shards << "x" << threads;
-        EXPECT_EQ(serial_trace.cache_ids(), trace.cache_ids())
-            << shards << "x" << threads;
-        EXPECT_EQ(serial_trace.produced(), trace.produced())
-            << shards << "x" << threads;
-
-        // The skewed stream must actually engage the machinery: windows
-        // were evaluated, and — at shard counts where the hot head
-        // clearly exceeds the 1.5x-mean trigger — at least one rebalance
-        // and its migration epoch fired. (At 2 shards the hot shard's
-        // share hovers near the threshold, so engagement there would be
-        // an assertion about the trigger constant, not the machinery.)
-        const AdaptiveShardStats& stats = engine.adaptive_stats();
-        EXPECT_EQ(stats.partitions, shards);
-        EXPECT_GT(stats.windows, 0) << shards << "x" << threads;
-        EXPECT_EQ(stats.map_version,
-                  static_cast<std::uint64_t>(stats.rebalances));
-        ASSERT_NE(engine.workers(), nullptr);
-        if (shards >= 4) {
-          EXPECT_GT(stats.rebalances, 0) << shards << "x" << threads;
-          EXPECT_GT(
-              engine.workers()->epochs(ShardWorkers::EpochKind::kMigration), 0)
-              << shards << "x" << threads;
-        }
-      }
-    }
+    ExpectShardedMatchesSerial({.capacity = capacity, .warmup = 20}, r, s,
+                               prob);
   }
 }
 
-TEST(ShardedStreamEngineTest, AdaptiveRerunsReproduceTheRebalanceHistory) {
-  Rng rng(71);
-  std::vector<Value> r = SampleZipfValues(350, 20, 1.3, rng);
-  std::vector<Value> s = SampleZipfValues(350, 20, 1.3, rng);
-  ProbPolicy prob;
-  BinaryPolicyAdapter adapter(&prob);
-
-  ShardedStreamEngine engine(
-      StreamTopology::Binary(),
-      {.capacity = 6,
-       .warmup = 10,
-       .shards = 4,
-       .threads = 2,
-       .adaptive = {.enabled = true, .interval = 8}});
-  EngineRunResult first = engine.Run({&r, &s}, adapter);
-  ASSERT_NE(engine.adaptive_map(), nullptr);
-  std::vector<AdaptivePartitionMap::RebalanceAction> history =
-      engine.adaptive_map()->history();
-  AdaptiveShardStats stats = engine.adaptive_stats();
-  ASSERT_GT(stats.rebalances, 0);
-
-  // Rerun on the reused engine: same trace, action-for-action identical
-  // rebalance history (the map is Reset, then every decision replays).
-  EngineRunResult second = engine.Run({&r, &s}, adapter);
-  EXPECT_EQ(first.total_results, second.total_results);
-  EXPECT_EQ(first.counted_results, second.counted_results);
-  EXPECT_EQ(engine.adaptive_map()->history(), history);
-  EXPECT_EQ(engine.adaptive_stats().windows, stats.windows);
-  EXPECT_EQ(engine.adaptive_stats().rebalances, stats.rebalances);
-  EXPECT_EQ(engine.adaptive_stats().static_ratio_sum, stats.static_ratio_sum);
-  EXPECT_EQ(engine.adaptive_stats().adaptive_ratio_sum,
-            stats.adaptive_ratio_sum);
-
-  // A fresh engine with the same options reproduces it too.
-  ShardedStreamEngine fresh(
-      StreamTopology::Binary(),
-      {.capacity = 6,
-       .warmup = 10,
-       .shards = 4,
-       .threads = 2,
-       .adaptive = {.enabled = true, .interval = 8}});
-  fresh.Run({&r, &s}, adapter);
-  ASSERT_NE(fresh.adaptive_map(), nullptr);
-  EXPECT_EQ(fresh.adaptive_map()->history(), history);
+TEST(ShardedStreamEngineTest, RankOrderPutsNanBelowEveryNumber) {
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  // NaN loses to every number, -inf included, from either side.
+  EXPECT_TRUE(RankOrderBetter(-inf, 0, 0, nan, 9, 9));
+  EXPECT_FALSE(RankOrderBetter(nan, 9, 9, -inf, 0, 0));
+  EXPECT_TRUE(RankOrderBetter(0.0, 0, 0, nan, 9, 9));
+  // Two NaNs fall through to the (major, minor) tie-break.
+  EXPECT_TRUE(RankOrderBetter(nan, 2, 0, nan, 1, 5));
+  EXPECT_FALSE(RankOrderBetter(nan, 1, 5, nan, 2, 0));
+  EXPECT_TRUE(RankOrderBetter(nan, 1, 6, nan, 1, 5));
+  EXPECT_FALSE(RankOrderBetter(nan, 1, 5, nan, 1, 5));
+  // Numbers keep the plain descending order.
+  EXPECT_TRUE(RankOrderBetter(2.0, 0, 0, 1.0, 9, 9));
+  EXPECT_TRUE(RankOrderBetter(1.0, 3, 0, 1.0, 2, 9));
 }
 
-TEST(ShardedStreamEngineTest, AdaptiveSerialFallbackReportsNoStats) {
-  // A non-decomposable policy falls back to the serial engine even with
-  // adaptive on; the run must report zeroed adaptive telemetry rather
-  // than stale numbers from an earlier adaptive run.
-  Rng rng(73);
-  std::vector<Value> r = SampleZipfValues(200, 16, 1.2, rng);
-  std::vector<Value> s = SampleZipfValues(200, 16, 1.2, rng);
-  ShardedStreamEngine engine(
-      StreamTopology::Binary(),
-      {.capacity = 5,
-       .shards = 4,
-       .adaptive = {.enabled = true, .interval = 8}});
+/// Shard-scorable policy that scores every value divisible by 3 as NaN
+/// and the rest by value, so NaN scores meet numbers, each other, and
+/// equal numbers in every sort and merge the engines run.
+class NanScoringPolicy final : public ScoredPolicy {
+ public:
+  const char* name() const override { return "nan-scoring"; }
 
-  ProbPolicy prob;
-  BinaryPolicyAdapter scored(&prob);
-  engine.Run({&r, &s}, scored);
-  ASSERT_GT(engine.adaptive_stats().windows, 0);
+ protected:
+  bool ShardScorable() const override { return true; }
+  double Score(const Tuple& tuple, const PolicyContext& ctx) override {
+    (void)ctx;
+    if (tuple.value % 3 == 0) return std::nan("");
+    return static_cast<double>(tuple.value % 7);
+  }
+};
 
-  RandomPolicy random(11, std::nullopt);
-  BinaryPolicyAdapter unscored(&random);
-  engine.Run({&r, &s}, unscored);
-  EXPECT_EQ(engine.adaptive_stats().windows, 0);
-  EXPECT_EQ(engine.adaptive_stats().rebalances, 0);
-  EXPECT_EQ(engine.adaptive_stats().map_version, 0u);
-}
+TEST(ShardedStreamEngineTest, NanScoresGiveTheSameResultsAtEveryShardCount) {
+  Rng rng(83);
+  std::vector<Value> r = SampleValues(4000, 41, rng);
+  std::vector<Value> s = SampleValues(4000, 41, rng);
+  NanScoringPolicy policy;
+  BinaryPolicyAdapter adapter(&policy);
 
-TEST(ShardedStreamEngineTest, AdaptiveFacadePlumbsOptionsAndStats) {
-  Rng rng(79);
-  std::vector<Value> r = SampleZipfValues(300, 20, 1.2, rng);
-  std::vector<Value> s = SampleZipfValues(300, 20, 1.2, rng);
-  ProbPolicy prob;
+  StreamEngine serial(StreamTopology::Binary(), {.capacity = 20});
+  TraceObserver serial_trace;
+  EngineRunResult serial_run = serial.Run({&r, &s}, adapter, {&serial_trace});
+  EXPECT_GT(serial_run.counted_results, 0);
 
-  JoinRunResult serial = JoinSimulator({.capacity = 6, .warmup = 10})
-                             .Run(r, s, prob);
-  JoinSimulator::Options options{.capacity = 6, .warmup = 10};
-  options.shards = 4;
-  options.adaptive_shards = true;
-  options.adaptive_interval = 16;
-  JoinRunResult adaptive = JoinSimulator(options).Run(r, s, prob);
-  EXPECT_EQ(serial.total_results, adaptive.total_results);
-  EXPECT_EQ(serial.counted_results, adaptive.counted_results);
-  EXPECT_GT(adaptive.adaptive.windows, 0);
-  EXPECT_EQ(adaptive.adaptive.partitions, 4);
-  // The serial run never touched the adaptive machinery.
-  EXPECT_EQ(serial.adaptive.windows, 0);
-
-  // CacheSimulator::Options plumb the same pair.
-  std::vector<Value> references = SampleZipfValues(300, 24, 1.2, rng);
-  LruCachingPolicy lru;
-  CacheRunResult cache_serial =
-      CacheSimulator({.capacity = 8, .warmup = 10}).Run(references, lru);
-  CacheRunResult cache_adaptive =
-      CacheSimulator({.capacity = 8,
-                      .warmup = 10,
-                      .shards = 4,
-                      .adaptive_shards = true,
-                      .adaptive_interval = 16})
-          .Run(references, lru);
-  EXPECT_EQ(cache_serial.hits, cache_adaptive.hits);
-  EXPECT_EQ(cache_serial.misses, cache_adaptive.misses);
-  EXPECT_EQ(cache_serial.counted_hits, cache_adaptive.counted_hits);
-  EXPECT_EQ(cache_serial.counted_misses, cache_adaptive.counted_misses);
+  for (int shards : {1, 2, 4, 8}) {
+    for (int threads : {1, 4}) {
+      ShardedStreamEngine engine(
+          StreamTopology::Binary(),
+          {.capacity = 20, .shards = shards, .threads = threads});
+      TraceObserver trace;
+      EngineRunResult run = engine.Run({&r, &s}, adapter, {&trace});
+      EXPECT_EQ(serial_run.counted_results, run.counted_results)
+          << shards << "x" << threads;
+      EXPECT_EQ(serial_trace.retained(), trace.retained())
+          << shards << "x" << threads;
+    }
+  }
 }
 
 }  // namespace
