@@ -20,10 +20,12 @@ runner serializes every worker, a many-core one doesn't), and
 multi-session serve timings depend on how the host schedules the worker
 engines — so comparing either across machines measures the hardware, not
 the code. threads>1 and sessions>1 rows are still matched and printed —
-as "info" — and summarized after the table as best-threads
-speedups over their own threads=1 row: the quick read on whether worker
-threads pay off on this host (on a single-core runner they won't, and
-that's expected).
+as "info" — and the serve rows' threads sweep is summarized after the
+table as best-threads speedups over their own threads=1 row: the quick
+read on whether scheduler workers pay off on this host (on a single-core
+runner they won't, and that's expected). Engine rows from perf_smoke
+always run inline and record threads=1; only serve rows (whose `threads`
+counts scheduler workers) sweep it.
 
 Serve rows (name SERVE-PROB, emitted by bench/serve_load)
 carry `sessions` and `offered_rate` plus the per-step latency
@@ -73,9 +75,11 @@ def describe(key):
 
 
 def thread_scaling_summary(rows):
-    """Best-threads speedup vs the threads=1 row for each threads sweep."""
+    """Best-threads speedup vs the threads=1 row for each serve sweep."""
     groups = {}
     for key, row in rows.items():
+        if "p50_step_ns" not in row:
+            continue  # Engine rows run inline; only serve rows sweep threads.
         group_key = key[:4] + key[5:]  # Everything but the threads axis.
         groups.setdefault(group_key, {})[key[4]] = row["ns_per_step"]
     printed_header = False
@@ -83,7 +87,8 @@ def thread_scaling_summary(rows):
         if len(by_threads) < 2 or 1 not in by_threads:
             continue
         if not printed_header:
-            print("\nthread scaling (current run, best threads vs threads=1):")
+            print("\nserve thread scaling (current run, best scheduler "
+                  "workers vs threads=1):")
             printed_header = True
         serial = by_threads[1]
         best_threads = min(by_threads, key=lambda t: by_threads[t])

@@ -10,13 +10,14 @@
 //
 // Runs serially on purpose: per-run wall times feed ns/step, and parallel
 // execution would contend for the core(s) being measured. The sharded
-// rows are the one exception — an inline (threads=1) shard sweep at
-// {1, 2, 4, 8} shards isolates sharding itself, and a full shards x
-// threads matrix on HEEB-value-incr / CACHE-LRU / CACHE-PROB measures the
-// persistent worker team (rows carry shards and threads; shards=1/
-// threads=1 rows are the serial baselines the sweeps read against).
-// Skewed workloads (ZIPF08/ZIPF12/BURSTY/REGIME) run serially, and ZIPF12
-// also across a shards x threads block, so a hot shard is on the roster.
+// rows sweep {1, 2, 4, 8} value-domain shards, all run inline on the
+// calling thread, on HEEB-direct / HEEB-time-incr / HEEB-value-incr and
+// the caching rows (rows carry shards; the shards=1 rows are the serial
+// baselines the sweeps read against). Skewed workloads (ZIPF08/ZIPF12/
+// BURSTY/REGIME) run serially, and ZIPF12 also across the shard sweep,
+// so a hot shard is on the roster. Every engine row records threads=1:
+// the field is shared with serve_load's rows, where it counts scheduler
+// workers.
 //
 // sjoin-perf-v4 adds multi-way rows (MULTI-HEEB / MULTI-PROB /
 // EDGE-BUDGET on a 3-way chain and a 5-way star) as planner-off /
@@ -87,7 +88,6 @@ struct ScenarioResult {
   Time len = 0;
   int runs = 0;
   int shards = 1;
-  int threads = 1;
   /// 1 when the run attached the runtime probe planner + score memos
   /// (multi-way rows). Part of the row key; planner twins must agree on
   /// counted_results bit for bit.
@@ -113,21 +113,18 @@ struct Config {
 
 /// Times `make_policy` + JoinSimulator::Run over `runs` pre-sampled pairs.
 /// `shards` > 1 runs the sharded engine (results are bit-identical; only
-/// the wall time moves); `threads` sizes its persistent worker team
-/// (1 = inline — the thread count is explicit so every row records the
-/// exact configuration it measured, not a host-dependent auto value).
+/// the wall time moves).
 template <typename MakePolicy>
 ScenarioResult TimeScenario(const std::string& name,
                             const JoinWorkload& workload, Time len,
                             const Config& config, MakePolicy&& make_policy,
-                            int shards = 1, int threads = 1) {
+                            int shards = 1) {
   ScenarioResult out;
   out.name = name;
   out.workload = workload.name;
   out.len = len;
   out.runs = config.runs;
   out.shards = shards;
-  out.threads = threads;
 
   Rng rng(config.seed);
   std::vector<StreamPair> pairs;
@@ -138,8 +135,7 @@ ScenarioResult TimeScenario(const std::string& name,
 
   JoinSimulator sim({.capacity = config.cache,
                      .warmup = static_cast<Time>(4 * config.cache),
-                     .shards = shards,
-                     .threads = threads});
+                     .shards = shards});
   for (const StreamPair& pair : pairs) {
     Stopwatch setup;
     auto policy = make_policy(pair);
@@ -154,8 +150,8 @@ ScenarioResult TimeScenario(const std::string& name,
     }
   }
   std::int64_t steps = len * config.runs;
-  std::fprintf(stderr, "%-18s %-5s s%d/t%d %8.0f steps/s %10.0f ns/step\n",
-               name.c_str(), workload.name.c_str(), shards, threads,
+  std::fprintf(stderr, "%-18s %-5s s%d %8.0f steps/s %10.0f ns/step\n",
+               name.c_str(), workload.name.c_str(), shards,
                static_cast<double>(steps) /
                    (static_cast<double>(out.run_ns) * 1e-9),
                static_cast<double>(out.run_ns) /
@@ -172,8 +168,7 @@ template <typename MakePolicy>
 ScenarioResult TimeCacheScenario(const std::string& name,
                                  const JoinWorkload& workload, Time len,
                                  const Config& config,
-                                 MakePolicy&& make_policy, int shards = 1,
-                                 int threads = 1) {
+                                 MakePolicy&& make_policy, int shards = 1) {
   using PolicyT = typename decltype(make_policy())::element_type;
   ScenarioResult out;
   out.name = name;
@@ -181,7 +176,6 @@ ScenarioResult TimeCacheScenario(const std::string& name,
   out.len = len;
   out.runs = config.runs;
   out.shards = shards;
-  out.threads = threads;
 
   Rng rng(config.seed);
   std::vector<std::vector<Value>> streams;
@@ -192,8 +186,7 @@ ScenarioResult TimeCacheScenario(const std::string& name,
 
   CacheSimulator sim({.capacity = config.cache,
                       .warmup = static_cast<Time>(4 * config.cache),
-                      .shards = shards,
-                      .threads = threads});
+                      .shards = shards});
   for (const std::vector<Value>& references : streams) {
     Stopwatch setup;
     auto policy = make_policy();
@@ -213,8 +206,8 @@ ScenarioResult TimeCacheScenario(const std::string& name,
     }
   }
   std::int64_t steps = len * config.runs;
-  std::fprintf(stderr, "%-18s %-5s s%d/t%d %8.0f steps/s %10.0f ns/step\n",
-               name.c_str(), workload.name.c_str(), shards, threads,
+  std::fprintf(stderr, "%-18s %-5s s%d %8.0f steps/s %10.0f ns/step\n",
+               name.c_str(), workload.name.c_str(), shards,
                static_cast<double>(steps) /
                    (static_cast<double>(out.run_ns) * 1e-9),
                static_cast<double>(out.run_ns) /
@@ -341,7 +334,7 @@ void WriteJson(const std::string& path, const Config& config,
     json.Key("shards");
     json.Int(r.shards);
     json.Key("threads");
-    json.Int(r.threads);
+    json.Int(1);
     json.Key("planner");
     json.Int(r.planner);
     json.Key("setup_ns");
@@ -526,8 +519,7 @@ int main(int argc, char** argv) {
                                       cache_ecb_on));
 
   // Shard sweep: the scored policies under the sharded engine at 1/2/4/8
-  // value-domain shards, inline (threads = 1), isolating the cost/benefit
-  // of sharding itself. Results are bit-identical across the sweep by the
+  // value-domain shards, isolating the cost/benefit of sharding itself. Results are bit-identical across the sweep by the
   // sharding contract; only the wall time moves. CACHE-RAND is not
   // shard-scorable and rides along to anchor the serial-fallback cost.
   Config sweep = config;
@@ -578,49 +570,34 @@ int main(int argc, char** argv) {
         }));
   }
 
-  // Skew sweep: the hottest workload (ZIPF12) across shards x threads.
+  // Skew sweep: the hottest workload (ZIPF12) across shard counts.
   // Results are bit-identical across the whole block; the hash partition
   // leaves one shard hot, so this is where shard imbalance would show.
   for (int shards : {1, 2, 4, 8}) {
-    for (int threads : {1, 4}) {
-      if (shards == 1 && threads > 1) continue;
-      results.push_back(TimeScenario(
-          "HEEB-time-incr", zipf12, sweep.len, sweep,
-          heeb_on(zipf12, HeebJoinPolicy::Mode::kTimeIncremental,
-                  zipf12.heeb_alpha),
-          shards, threads));
-      results.push_back(TimeScenario("PROB", zipf12, sweep.len, sweep,
-                                     prob_on(), shards, threads));
-    }
+    results.push_back(TimeScenario(
+        "HEEB-time-incr", zipf12, sweep.len, sweep,
+        heeb_on(zipf12, HeebJoinPolicy::Mode::kTimeIncremental,
+                zipf12.heeb_alpha),
+        shards));
+    results.push_back(
+        TimeScenario("PROB", zipf12, sweep.len, sweep, prob_on(), shards));
   }
 
-  // Shards x threads matrix: the persistent-worker path across every
-  // combination of shard count and worker-team size, on the heaviest
-  // scored join row (HEEB-value-incr) and the two caching regimes
-  // (CACHE-LRU via the reduction, CACHE-PROB via the joining-policy
-  // route). threads = 1 is the inline path — those rows double as the
-  // matrix's serial baselines; threads > shards exercises idle workers.
-  // shards = 1 always runs the plain serial engine (threads is moot), so
-  // only its threads = 1 row is emitted. On single-core hosts every
-  // thread count measures the same core, so a flat threads axis there is
-  // expected (see EXPERIMENTS.md).
+  // Shard sweep on the heaviest scored join row (HEEB-value-incr) and the
+  // two caching regimes (CACHE-LRU via the reduction, CACHE-PROB via the
+  // joining-policy route); the shards = 1 rows are the serial baselines.
   for (int shards : {1, 2, 4, 8}) {
-    for (int threads : {1, 2, 4, 8}) {
-      if (shards == 1 && threads > 1) continue;
-      results.push_back(TimeScenario(
-          "HEEB-value-incr", tower, sweep.len, sweep,
-          heeb_on(tower, HeebJoinPolicy::Mode::kValueIncremental,
-                  tower.heeb_alpha),
-          shards, threads));
-      results.push_back(TimeCacheScenario(
-          "CACHE-LRU", tower, sweep.len, sweep,
-          [] { return std::make_unique<LruCachingPolicy>(); }, shards,
-          threads));
-      results.push_back(TimeCacheScenario(
-          "CACHE-PROB", tower, sweep.len, sweep,
-          [] { return std::make_unique<ProbPolicy>(std::nullopt); }, shards,
-          threads));
-    }
+    results.push_back(TimeScenario(
+        "HEEB-value-incr", tower, sweep.len, sweep,
+        heeb_on(tower, HeebJoinPolicy::Mode::kValueIncremental,
+                tower.heeb_alpha),
+        shards));
+    results.push_back(TimeCacheScenario(
+        "CACHE-LRU", tower, sweep.len, sweep,
+        [] { return std::make_unique<LruCachingPolicy>(); }, shards));
+    results.push_back(TimeCacheScenario(
+        "CACHE-PROB", tower, sweep.len, sweep,
+        [] { return std::make_unique<ProbPolicy>(std::nullopt); }, shards));
   }
 
   // Multi-way A/B pairs: planner off (naive fixed-order probes, no score

@@ -20,21 +20,15 @@
 using namespace sjoin;
 
 int main(int argc, char** argv) {
-  // Optional: --shards=N spreads each step's probe + scoring work across
-  // N value-domain shards, and --threads=M runs those shards on a
-  // persistent team of M workers (default 1 = inline; 0 = one per core,
-  // up to N). The results are exactly the same — sharding and threading
-  // are bit-identical by construction, and so are the batched scoring
-  // kernels HEEB runs on — so these flags only change speed.
+  // Optional: --shards=N splits each step's probe + scoring work across
+  // N value-domain shards, run inline. The results are exactly the same —
+  // sharding is bit-identical by construction, and so are the batched
+  // scoring kernels HEEB runs on — so this flag only changes speed.
   int shards = 1;
-  int threads = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--shards=", 9) == 0) {
       shards = std::atoi(argv[i] + 9);
       if (shards < 1) shards = 1;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
-      if (threads < 0) threads = 0;
     }
   }
 
@@ -57,10 +51,7 @@ int main(int argc, char** argv) {
   HeebJoinPolicy heeb(&r, &s, options);
 
   // 4. Run the join with a 10-tuple cache.
-  JoinSimulator sim({.capacity = 10,
-                     .warmup = 40,
-                     .shards = shards,
-                     .threads = threads});
+  JoinSimulator sim({.capacity = 10, .warmup = 40, .shards = shards});
   auto heeb_result = sim.Run(pair.r, pair.s, heeb);
 
   // Baselines: random eviction and the clairvoyant optimum.

@@ -14,10 +14,10 @@
 /// \file
 /// Fixed-size thread pool for the embarrassingly parallel work in this
 /// repo: benchmark rosters and sweeps dispatch independent
-/// (run, policy, sweep-point) simulator jobs onto one pool. (The sharded
-/// engine's per-step fan-out uses the persistent ShardWorkers team in
-/// shard_workers.h instead — a pool queue is the wrong shape at that
-/// granularity.)
+/// (run, policy, sweep-point) simulator jobs onto one pool, and the
+/// session scheduler fans its rounds out over one. (The sharded engine
+/// runs its shards inline: a step costs microseconds, too little to
+/// fan out.)
 ///
 /// Deliberately work-stealing-free: a single mutex-guarded FIFO queue is
 /// plenty at the granularity of one simulator run per task, and it keeps

@@ -19,8 +19,7 @@ CacheRunResult RunReduced(const CacheSimulator::Options& options,
                              {.capacity = options.capacity,
                               .warmup = options.warmup,
                               .window = options.window,
-                              .shards = options.shards,
-                              .threads = options.threads});
+                              .shards = options.shards});
   BinaryPolicyAdapter adapter(&policy);
   PerfObserver perf;
   EngineRunResult run = engine.Run(

@@ -46,13 +46,10 @@ class CacheSimulator {
     /// a cached tuple older than the window no longer serves hits until
     /// refetched; every hit refreshes its age. nullopt = classic caching.
     std::optional<Time> window;
-    /// Value-domain shards for intra-run parallelism
-    /// (engine/sharded_stream_engine.h); results are bit-identical for any
-    /// count. <= 1, or a policy without shard scoring, runs serially.
+    /// Value-domain shards (engine/sharded_stream_engine.h), run inline
+    /// on the calling thread; results are bit-identical for any count.
+    /// <= 1, or a policy without shard scoring, runs serially.
     int shards = 1;
-    /// Worker threads for the sharded path; 0 = auto (min(shards,
-    /// hardware)), 1 = inline. See ShardedStreamEngine::Options::threads.
-    int threads = 0;
   };
 
   explicit CacheSimulator(Options options);

@@ -10,10 +10,11 @@
 /// Structure-of-arrays view over one step's retention candidates. The
 /// engines gather the candidate tuples into contiguous per-field spans —
 /// once per step in the serial engine, once per shard run in the sharded
-/// engine (carved from the worker arenas) — so batch-scorable policies can
-/// score whole runs with one fused kernel call instead of one virtual
-/// Score() per tuple. The spans are borrowed: they stay valid only for the
-/// duration of the SelectRetained / shard-scoring call they are passed to.
+/// engine (carved from the engine's scratch arena) — so batch-scorable
+/// policies can score whole runs with one fused kernel call instead of one
+/// virtual Score() per tuple. The spans are borrowed: they stay valid only
+/// for the duration of the SelectRetained / shard-scoring call they are
+/// passed to.
 
 namespace sjoin {
 

@@ -21,8 +21,7 @@ JoinRunResult JoinSimulator::Run(const std::vector<Value>& r,
                              {.capacity = options_.capacity,
                               .warmup = options_.warmup,
                               .window = options_.window,
-                              .shards = options_.shards,
-                              .threads = options_.threads});
+                              .shards = options_.shards});
   BinaryPolicyAdapter adapter(&policy);
 
   JoinRunResult result;

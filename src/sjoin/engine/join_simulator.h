@@ -56,13 +56,10 @@ class JoinSimulator {
     std::optional<Time> window;
     /// Record the per-step fraction of R tuples in the cache.
     bool track_cache_composition = false;
-    /// Value-domain shards for intra-run parallelism
-    /// (engine/sharded_stream_engine.h); results are bit-identical for any
-    /// count. <= 1, or a policy without shard scoring, runs serially.
+    /// Value-domain shards (engine/sharded_stream_engine.h), run inline
+    /// on the calling thread; results are bit-identical for any count.
+    /// <= 1, or a policy without shard scoring, runs serially.
     int shards = 1;
-    /// Worker threads for the sharded path; 0 = auto (min(shards,
-    /// hardware)), 1 = inline. See ShardedStreamEngine::Options::threads.
-    int threads = 0;
   };
 
   explicit JoinSimulator(Options options);

@@ -70,7 +70,7 @@ inline bool ShardKeyBetter(const ShardKey& a, const ShardKey& b) {
 /// Per-shard scratch space owned by the policy (prediction buffers, ...).
 /// The sharded engine allocates one per shard via MakeShardScratch() and
 /// hands it back on every scoring call from that shard, so scoring can
-/// stay allocation-free without sharing mutable state across threads.
+/// stay allocation-free without sharing mutable state across shards.
 class ShardScratch {
  public:
   virtual ~ShardScratch() = default;
@@ -83,11 +83,12 @@ class ShardScratch {
 ///   1. ShardBeginStep — serial; per-step state refresh. May decide the
 ///      whole step (return false) to skip scoring, e.g. the reduction's
 ///      cache-hit fast path.
-///   2. ShardScoreCached — concurrent, one call per cached tuple, each
+///   2. ShardScoreCached — one call per cached tuple, shard by shard, each
 ///      tuple scored from the shard that owns its value. Must not touch
 ///      state shared across shards except read-only step state prepared
-///      in ShardBeginStep.
-///   3. ShardScoreArrival — serial (after a barrier), in arrival order;
+///      in ShardBeginStep: the shards score in a different order than the
+///      serial engine, so any such mutation would change results.
+///   3. ShardScoreArrival — after every shard scored, in arrival order;
 ///      may mutate policy state (HEEB inserts incremental state here).
 ///   4. ShardEndStep — serial, with the merged retained set and the
 ///      evicted ids (candidates \ retained, free from the merge
@@ -110,7 +111,7 @@ class PolicyShardScoring {
     return nullptr;
   }
 
-  /// Thread-safe scoring of one cached tuple.
+  /// Scoring of one cached tuple (see step 2 above).
   virtual std::optional<ShardKey> ShardScoreCached(
       const Tuple& tuple, const PolicyContext& ctx,
       ShardScratch* scratch) = 0;
@@ -124,8 +125,8 @@ class PolicyShardScoring {
   /// Batched counterpart of ShardScoreCached: scores every lane of the
   /// shard's cached run into out[i], bit-identical to the per-tuple calls.
   /// `score_scratch` is a caller-provided buffer of batch.size doubles
-  /// (arena-carved per shard, so kernels stay allocation-free and
-  /// thread-confined). The default loops ShardScoreCached.
+  /// (arena-carved per shard, so kernels stay allocation-free). The
+  /// default loops ShardScoreCached.
   virtual void ShardScoreCachedBatch(const CandidateBatch& batch,
                                      const PolicyContext& ctx,
                                      ShardScratch* scratch,

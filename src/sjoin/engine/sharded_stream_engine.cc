@@ -4,25 +4,9 @@
 #include <utility>
 
 #include "sjoin/common/check.h"
-#include "sjoin/common/thread_pool.h"
 #include "sjoin/common/validate.h"
 
 namespace sjoin {
-namespace {
-
-/// Steps per observer batch when every attached observer allows deferred
-/// delivery: the engine buffers that many scalar step views before
-/// synchronizing with the observer chain, keeping the workers hot across
-/// the whole batch.
-constexpr std::size_t kStepBatchSteps = 64;
-
-/// A merge-cascade level fans out to the workers only past this many
-/// total entries; below it the driver merges inline — the epoch ticket is
-/// cheap, but not two-cache-misses cheap. The threshold affects timing
-/// only, never output: every merge order yields the same sequence.
-constexpr std::size_t kParallelMergeMinEntries = 4096;
-
-}  // namespace
 
 ShardedStreamEngine::ShardedStreamEngine(StreamTopology topology,
                                          Options options)
@@ -34,7 +18,6 @@ ShardedStreamEngine::ShardedStreamEngine(StreamTopology topology,
       num_shards_(static_cast<std::uint64_t>(
           options.shards > 1 ? options.shards : 1)) {
   SJOIN_CHECK_GE(options_.shards, 1);
-  SJOIN_CHECK_GE(options_.threads, 0);
 }
 
 void ShardedStreamEngine::SortRun(ScoredEntry* run, std::size_t size) {
@@ -53,27 +36,6 @@ void ShardedStreamEngine::SortRun(ScoredEntry* run, std::size_t size) {
     }
     run[j] = entry;
   }
-}
-
-int ShardedStreamEngine::DefaultThreads(int shards) {
-  if (shards <= 1) return 1;
-  return std::min(shards, ThreadPool::DefaultThreads());
-}
-
-int ShardedStreamEngine::effective_threads() const {
-  if (options_.shards <= 1) return 1;
-  if (options_.threads > 0) return options_.threads;
-  return DefaultThreads(options_.shards);
-}
-
-std::int64_t ShardedStreamEngine::ArenaGrowthEvents() const {
-  if (workers_ == nullptr) return 0;
-  std::int64_t total = 0;
-  for (int w = 0; w < workers_->num_workers(); ++w) {
-    total += const_cast<ShardWorkers*>(workers_.get())->arena(w)
-                 .growth_events();
-  }
-  return total;
 }
 
 EngineShardScoring* ShardedStreamEngine::DecideScoring(
@@ -161,14 +123,30 @@ EngineRunResult ShardedStreamEngine::Close(SessionState& session) {
   return CloseSharded(session);
 }
 
-void ShardedStreamEngine::ProcessShard(const StepEpochContext& step,
+void ShardedStreamEngine::ProcessShard(const EngineContext& ctx,
+                                       EngineShardScoring& scoring,
                                        std::size_t shard) {
   const StreamTopology& topology = serial_.topology();
   ShardSlot& slot = slots_[shard];
+  // Every cached tuple lands in exactly one of scored/dropped, so
+  // cache.size() bounds both.
+  const std::size_t lanes = slot.cache.size();
+  slot.scored = arena_.AllocArray<ScoredEntry>(lanes);
+  slot.scored_size = 0;
+  slot.dropped = arena_.AllocArray<StreamTuple>(lanes);
+  slot.dropped_size = 0;
+  if (run_batch_scoring_) {
+    slot.batch_values = arena_.AllocArray<Value>(lanes);
+    slot.batch_arrivals = arena_.AllocArray<Time>(lanes);
+    slot.batch_sides = arena_.AllocArray<std::uint8_t>(lanes);
+    slot.batch_ids = arena_.AllocArray<TupleId>(lanes);
+    slot.batch_scores = arena_.AllocArray<double>(lanes);
+    slot.batch_keys = arena_.AllocArray<ShardKey>(lanes);
+  }
   slot.produced = 0;
   for (const StreamTuple& arrival : arrivals_) {
     if (ShardOf(arrival.value) != shard) continue;
-    if (step.use_value_index) {
+    if (run_use_value_index_) {
       for (int partner : topology.PartnersOf(arrival.stream)) {
         const auto& index = slot.value_index[static_cast<std::size_t>(partner)];
         auto it = index.find(arrival.value);
@@ -176,7 +154,7 @@ void ShardedStreamEngine::ProcessShard(const StepEpochContext& step,
       }
     } else {
       for (const StreamTuple& cached : slot.cache) {
-        if (!InWindow(cached, step.now, step.ctx->window)) continue;
+        if (!InWindow(cached, ctx.now, ctx.window)) continue;
         if (cached.value != arrival.value) continue;
         if (topology.Joins(cached.stream, arrival.stream)) {
           ++slot.produced;
@@ -184,12 +162,11 @@ void ShardedStreamEngine::ProcessShard(const StepEpochContext& step,
       }
     }
   }
-  if (run_batch_scoring_ && !slot.cache.empty()) {
+  if (run_batch_scoring_ && lanes > 0) {
     // Batch path: gather the shard's cached run into SoA lanes and score
     // it with one fused kernel call. ShardBatchScorable policies never
     // exclude cached tuples, so every lane lands in scored and dropped
     // stays empty.
-    const std::size_t lanes = slot.cache.size();
     for (std::size_t i = 0; i < lanes; ++i) {
       const StreamTuple& cached = slot.cache[i];
       slot.batch_values[i] = cached.value;
@@ -203,16 +180,15 @@ void ShardedStreamEngine::ProcessShard(const StepEpochContext& step,
     batch.arrivals = slot.batch_arrivals;
     batch.sides = slot.batch_sides;
     batch.ids = slot.batch_ids;
-    step.scoring->ShardScoreCachedBatch(batch, *step.ctx, slot.scratch.get(),
-                                        slot.batch_scores, slot.batch_keys);
+    scoring.ShardScoreCachedBatch(batch, ctx, slot.scratch.get(),
+                                  slot.batch_scores, slot.batch_keys);
     for (std::size_t i = 0; i < lanes; ++i) {
       slot.scored[slot.scored_size++] = {slot.batch_keys[i], slot.cache[i]};
     }
   } else {
     for (const StreamTuple& cached : slot.cache) {
       std::optional<ShardKey> key =
-          step.scoring->ShardScoreCached(cached, *step.ctx,
-                                         slot.scratch.get());
+          scoring.ShardScoreCached(cached, ctx, slot.scratch.get());
       if (key.has_value()) {
         slot.scored[slot.scored_size++] = {*key, cached};
       } else {
@@ -221,67 +197,6 @@ void ShardedStreamEngine::ProcessShard(const StepEpochContext& step,
     }
   }
   SortRun(slot.scored, slot.scored_size);
-}
-
-void ShardedStreamEngine::RunShardSlice(const StepEpochContext& step,
-                                        int worker) {
-  const int workers = workers_->num_workers();
-  ShardArena& arena = workers_->arena(worker);
-  const auto num_shards = static_cast<std::size_t>(options_.shards);
-  // Carve this slice's scratch on the worker itself (first touch is
-  // worker-local) — every cached tuple lands in exactly one of
-  // scored/dropped, so cache.size() bounds both.
-  for (std::size_t shard = static_cast<std::size_t>(worker);
-       shard < num_shards; shard += static_cast<std::size_t>(workers)) {
-    ShardSlot& slot = slots_[shard];
-    slot.scored = arena.AllocArray<ScoredEntry>(slot.cache.size());
-    slot.scored_size = 0;
-    slot.dropped = arena.AllocArray<StreamTuple>(slot.cache.size());
-    slot.dropped_size = 0;
-    if (run_batch_scoring_) {
-      const std::size_t lanes = slot.cache.size();
-      slot.batch_values = arena.AllocArray<Value>(lanes);
-      slot.batch_arrivals = arena.AllocArray<Time>(lanes);
-      slot.batch_sides = arena.AllocArray<std::uint8_t>(lanes);
-      slot.batch_ids = arena.AllocArray<TupleId>(lanes);
-      slot.batch_scores = arena.AllocArray<double>(lanes);
-      slot.batch_keys = arena.AllocArray<ShardKey>(lanes);
-    }
-    ProcessShard(step, shard);
-  }
-}
-
-void ShardedStreamEngine::MergePair(const MergeJob& job) {
-  std::merge(job.a.data, job.a.data + job.a.size, job.b.data,
-             job.b.data + job.b.size, job.out,
-             [](const ScoredEntry& x, const ScoredEntry& y) {
-               return ShardKeyBetter(x.key, y.key);
-             });
-}
-
-void ShardedStreamEngine::RunMergeSlice(int worker) {
-  const int workers = workers_->num_workers();
-  for (std::size_t j = static_cast<std::size_t>(worker);
-       j < merge_jobs_.size(); j += static_cast<std::size_t>(workers)) {
-    MergePair(merge_jobs_[j]);
-  }
-}
-
-void ShardedStreamEngine::ShardsEpochThunk(void* raw, int worker) {
-  auto* step = static_cast<StepEpochContext*>(raw);
-  step->engine->RunShardSlice(*step, worker);
-}
-
-void ShardedStreamEngine::MergeEpochThunk(void* raw, int worker) {
-  static_cast<ShardedStreamEngine*>(raw)->RunMergeSlice(worker);
-}
-
-void ShardedStreamEngine::FlushPendingViews(
-    const std::vector<StepObserver*>& observers) {
-  for (const EngineStepView& view : pending_views_) {
-    for (StepObserver* observer : observers) observer->OnStep(view);
-  }
-  pending_views_.clear();
 }
 
 void ShardedStreamEngine::OpenSharded(SessionState& session,
@@ -307,14 +222,6 @@ void ShardedStreamEngine::OpenSharded(SessionState& session,
   session.scoring = &scoring;
 
   policy.Reset();
-
-  // The persistent team is rebuilt only when its shape changes, so
-  // repeated runs (benchmark loops) spawn no threads after the first.
-  const int threads = effective_threads();
-  if (workers_ == nullptr || workers_->num_workers() != threads) {
-    workers_ = std::make_unique<ShardWorkers>(
-        ShardWorkers::Options{.workers = threads});
-  }
 
   const auto num_shards = static_cast<std::size_t>(options_.shards);
   const bool use_value_index =
@@ -350,17 +257,15 @@ void ShardedStreamEngine::OpenSharded(SessionState& session,
   }
   merge_runs_.reserve(num_shards + 1);
   next_runs_.reserve(num_shards + 1);
-  merge_jobs_.reserve((num_shards + 2) / 2);
-  pending_views_.reserve(kStepBatchSteps);
 
-  // Worst-case per-step arena demand per worker: a worker's shards
-  // partition at most the whole cache (capacity scored entries + capacity
-  // dropped tuples), and each cascade level can hand one worker every
-  // merge output (capacity + n entries total per level). Reserving that
-  // up front makes steady-state steps allocation-free, which the
-  // validation build asserts via the growth-event baseline.
+  // Worst-case per-step arena demand: the shards partition at most the
+  // whole cache (capacity scored entries + capacity dropped tuples), and
+  // each cascade level's merge outputs hold at most capacity + n entries.
+  // Reserving that up front makes steady-state steps allocation-free,
+  // which the validation build asserts via the growth-event baseline.
   // Batch runs additionally carve per-shard SoA lanes and kernel scratch
-  // (six spans per shard, capacity lanes total across a worker's shards).
+  // (six spans per shard, capacity lanes in total). The 64-byte terms
+  // cover per-span alignment padding.
   const std::size_t batch_lane_bytes =
       run_batch_scoring_
           ? options_.capacity *
@@ -374,10 +279,8 @@ void ShardedStreamEngine::OpenSharded(SessionState& session,
           sizeof(ScoredEntry) +
       options_.capacity * sizeof(StreamTuple) +
       (2 * num_shards + 2 * levels + 8) * 64 + batch_lane_bytes;
-  for (int w = 0; w < threads; ++w) {
-    workers_->arena(w).Reserve(arena_bytes);
-  }
-  arena_growth_baseline_ = ArenaGrowthEvents();
+  arena_.Reserve(arena_bytes);
+  arena_growth_baseline_ = arena_.growth_events();
 
   session.use_value_index = use_value_index;
 
@@ -396,18 +299,6 @@ void ShardedStreamEngine::OpenSharded(SessionState& session,
   SJOIN_CHECK_MSG(policy.shard_scoring() != nullptr,
                   "an observer disabled sharded scoring after the engine "
                   "committed to it; run score tracers with shards = 1");
-
-  // Batched multi-step execution: when every attached observer tolerates
-  // deferred, scalar-only delivery, the engine synchronizes with the
-  // chain once per kStepBatchSteps instead of every step (the views are
-  // buffered in order, with the pointer fields null) and at Advance
-  // boundaries. Any other observer keeps the classic step-synchronous
-  // protocol.
-  session.batched_observers = true;
-  for (StepObserver* observer : session.observers) {
-    session.batched_observers =
-        session.batched_observers && observer->AllowsBatchedSteps();
-  }
 }
 
 void ShardedStreamEngine::AdvanceSharded(
@@ -427,12 +318,9 @@ void ShardedStreamEngine::AdvanceSharded(
 
   EngineShardScoring& scoring = *session.scoring;
   const std::vector<StepObserver*>& observers = session.observers;
-  const bool batch_ok = session.batched_observers;
   const bool use_value_index = run_use_value_index_;
-  const int threads = workers_->num_workers();
   const auto num_shards = static_cast<std::size_t>(options_.shards);
 
-  workers_->BeginBatch();
   for (Time i = 0; i < steps; ++i) {
     const Time t = session.now;
     arrivals_.clear();
@@ -463,21 +351,13 @@ void ShardedStreamEngine::AdvanceSharded(
     retained_.clear();
     new_cache_.clear();
     if (scored_step) {
-      // One epoch over the persistent team: worker w runs Phase-1 probes,
-      // cached scoring and the shard-local sort for every shard s with
-      // s % workers == w, carving the shard's scored/dropped runs from
-      // its own arena. Slices touch only their own slots (plus read-only
-      // step state), so the post-epoch reduction needs no locks.
-      for (int w = 0; w < threads; ++w) workers_->arena(w).Reset();
-      StepEpochContext step;
-      step.engine = this;
-      step.ctx = &ctx;
-      step.scoring = &scoring;
-      step.now = t;
-      step.use_value_index = use_value_index;
-      workers_->RunEpoch(&ShardedStreamEngine::ShardsEpochThunk, &step,
-                         ShardWorkers::EpochKind::kStep);
-      for (const ShardSlot& slot : slots_) produced += slot.produced;
+      // Per shard, in shard order: Phase-1 probes, cached scoring and the
+      // shard-local sort, into scored/dropped runs carved from the arena.
+      arena_.Reset();
+      for (std::size_t shard = 0; shard < num_shards; ++shard) {
+        ProcessShard(ctx, scoring, shard);
+        produced += slots_[shard].produced;
+      }
 
       // Arrivals are scored serially, in arrival order: policies may
       // mutate state here (HEEB inserts incremental entries).
@@ -491,12 +371,10 @@ void ShardedStreamEngine::AdvanceSharded(
       // Global merge of the shard runs plus the arrival run: a balanced
       // cascade of pairwise merges, ~log2(shards + 1) levels of tight
       // two-way merges instead of a (shards + 1)-wide head scan per pop.
-      // Levels with enough work fan their independent pairs back out to
-      // the workers (outputs are arena spans, job j on worker j % team).
       // std::merge is stable and the keys form a strict total order
-      // (unique minors), so every merge shape — serial, parallel, any
-      // pairing — yields exactly the serial engine's sorted candidate
-      // order: same retained prefix, same cache order.
+      // (unique minors), so every pairing yields exactly the serial
+      // engine's sorted candidate order: same retained prefix, same cache
+      // order.
       merge_runs_.clear();
       for (ShardSlot& slot : slots_) {
         if (slot.scored_size > 0) {
@@ -509,27 +387,18 @@ void ShardedStreamEngine::AdvanceSharded(
       }
       while (merge_runs_.size() > 1) {
         next_runs_.clear();
-        merge_jobs_.clear();
-        std::size_t level_entries = 0;
         for (std::size_t i = 0; i + 1 < merge_runs_.size(); i += 2) {
           const MergeRun& a = merge_runs_[i];
           const MergeRun& b = merge_runs_[i + 1];
-          ScoredEntry* out =
-              workers_->arena(static_cast<int>(merge_jobs_.size()) % threads)
-                  .AllocArray<ScoredEntry>(a.size + b.size);
-          merge_jobs_.push_back({a, b, out});
+          ScoredEntry* out = arena_.AllocArray<ScoredEntry>(a.size + b.size);
+          std::merge(a.data, a.data + a.size, b.data, b.data + b.size, out,
+                     [](const ScoredEntry& x, const ScoredEntry& y) {
+                       return ShardKeyBetter(x.key, y.key);
+                     });
           next_runs_.push_back({out, a.size + b.size});
-          level_entries += a.size + b.size;
         }
         if (merge_runs_.size() % 2 == 1) {
           next_runs_.push_back(merge_runs_.back());
-        }
-        if (threads > 1 && merge_jobs_.size() >= 2 &&
-            level_entries >= kParallelMergeMinEntries) {
-          workers_->RunEpoch(&ShardedStreamEngine::MergeEpochThunk, this,
-                             ShardWorkers::EpochKind::kMerge);
-        } else {
-          for (const MergeJob& job : merge_jobs_) MergePair(job);
         }
         merge_runs_.swap(next_runs_);
       }
@@ -683,9 +552,9 @@ void ShardedStreamEngine::AdvanceSharded(
     if constexpr (kValidationEnabled) {
       SJOIN_VALIDATE(cache_.size() <= options_.capacity);
       // The scored-step hot loop must never fall back to heap growth:
-      // the arenas were reserved for the worst case at run setup.
-      SJOIN_VALIDATE_MSG(ArenaGrowthEvents() == arena_growth_baseline_,
-                         "per-step scratch outgrew the reserved arenas");
+      // the arena was reserved for the worst case at run setup.
+      SJOIN_VALIDATE_MSG(arena_.growth_events() == arena_growth_baseline_,
+                         "per-step scratch outgrew the reserved arena");
       // The shard caches must partition the global cache by value shard,
       // and each shard index must match a from-scratch recount.
       std::size_t sharded_total = 0;
@@ -723,28 +592,16 @@ void ShardedStreamEngine::AdvanceSharded(
     step_view.produced = produced;
     step_view.counted = counted;
     step_view.num_candidates = num_candidates;
-    if (batch_ok) {
-      if (!observers.empty()) {
-        pending_views_.push_back(step_view);
-        if (pending_views_.size() >= kStepBatchSteps) {
-          FlushPendingViews(observers);
-        }
-      }
-    } else {
-      step_view.cache = &cache_;
-      step_view.arrivals = &arrivals_;
-      step_view.retained = &retained_;
-      for (StepObserver* observer : observers) observer->OnStep(step_view);
-    }
+    step_view.cache = &cache_;
+    step_view.arrivals = &arrivals_;
+    step_view.retained = &retained_;
+    for (StepObserver* observer : observers) observer->OnStep(step_view);
     session.now = t + 1;
   }
-  FlushPendingViews(observers);
-  workers_->EndBatch();
 }
 
 EngineRunResult ShardedStreamEngine::CloseSharded(SessionState& session) {
   SJOIN_CHECK_MSG(session.open, "Close on a session that is not open");
-  FlushPendingViews(session.observers);
   EngineRunView run_view;
   run_view.topology = &serial_.topology();
   run_view.capacity = options_.capacity;

@@ -8,7 +8,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "sjoin/common/shard_workers.h"
+#include "sjoin/common/shard_arena.h"
 #include "sjoin/common/types.h"
 #include "sjoin/engine/replacement_policy.h"
 #include "sjoin/engine/step_observer.h"
@@ -17,7 +17,7 @@
 #include "sjoin/stochastic/stream_history.h"
 
 /// \file
-/// Intra-run value-domain parallelism over the StreamEngine step loop.
+/// Value-domain sharding of the StreamEngine step loop.
 ///
 /// Equijoins only match equal values, so hashing the value domain onto N
 /// shards splits both Phase 1 and the scoring half of Phase 2 into
@@ -28,17 +28,13 @@
 /// the global top-k. Because the merge comparator is the policy's own
 /// strict total order, the merged prefix equals the serial engine's sorted
 /// prefix — retained sets, result counts, telemetry and observer views are
-/// bit-identical to StreamEngine for any shard count and any thread count.
+/// bit-identical to StreamEngine for any shard count.
 ///
-/// Execution model (see DESIGN.md §2d): shards are distributed round-robin
-/// over a team of persistent ShardWorkers driven by an epoch ticket — one
-/// atomic release per parallel section instead of per-step task
-/// submission. Per-step scratch (scored runs, merge outputs) comes from
-/// each worker's monotonic arena, reset every step, so the scored-step
-/// hot loop performs no heap allocation; the pairwise merge cascade runs
-/// its independent pairs on the same workers. Observers that declare
-/// AllowsBatchedSteps() have their OnStep views buffered and delivered at
-/// batch boundaries, letting the engine keep workers hot across a batch.
+/// Execution model (see DESIGN.md §2d): every shard slice and every level
+/// of the pairwise merge cascade runs inline on the calling thread.
+/// Per-step scratch (scored runs, SoA lanes, merge outputs) comes from one
+/// engine-owned monotonic arena, reset every scored step, so the
+/// scored-step hot loop performs no heap allocation.
 ///
 /// Policies that cannot decompose (shard_scoring() == nullptr) or runs
 /// with shards <= 1 fall back to a plain StreamEngine behind the same API.
@@ -58,11 +54,6 @@ class ShardedStreamEngine {
     std::optional<Time> window;
     /// Value-domain shards. <= 1 runs the serial StreamEngine.
     int shards = 1;
-    /// Worker threads for the sharded path. 0 = auto
-    /// (min(shards, hardware)); 1 runs every shard inline on the caller;
-    /// values above `shards` spawn extra workers that own no shards
-    /// (harmless, so a benchmark matrix can sweep threads independently).
-    int threads = 0;
   };
 
   ShardedStreamEngine(StreamTopology topology, Options options);
@@ -82,7 +73,7 @@ class ShardedStreamEngine {
   // at Open, exactly as in Run(). A serial fallback opens an
   // engine-portable session on the internal StreamEngine (the engine's
   // own capacity/warmup/window apply). A sharded session pins to this
-  // engine — the slot, worker and arena structures backing it are
+  // engine — the slot and arena structures backing it are
   // engine-resident — and at most one sharded session may be open per
   // engine at a time. Either way, slicing a stream into any pattern of
   // Advance batches reproduces the batch Run bit for bit.
@@ -104,18 +95,6 @@ class ShardedStreamEngine {
   const StreamTopology& topology() const { return serial_.topology(); }
   const Options& options() const { return options_; }
 
-  /// Worker-team size the sharded path runs with: `threads` when set,
-  /// else DefaultThreads(shards). 1 when shards <= 1.
-  int effective_threads() const;
-
-  /// effective_threads() of a default-constructed engine at `shards`,
-  /// without building one (for benchmark metadata).
-  static int DefaultThreads(int shards);
-
-  /// Worker-team telemetry (per-kind epoch counters) for tests; null
-  /// before the first sharded run.
-  const ShardWorkers* workers() const { return workers_.get(); }
-
  private:
   /// A retention candidate paired with its policy merge key.
   struct ScoredEntry {
@@ -129,24 +108,15 @@ class ShardedStreamEngine {
     std::size_t size = 0;
   };
 
-  /// One pairwise merge of a cascade level; out has room for both inputs.
-  struct MergeJob {
-    MergeRun a;
-    MergeRun b;
-    ScoredEntry* out = nullptr;
-  };
-
   /// One value-domain shard: the slice of the cache whose values hash
-  /// here, its Phase-1 index, and this step's scored run. Cache-line
-  /// aligned so per-shard writes from different workers never false-share;
-  /// the scored/dropped runs live in the owning worker's arena.
-  struct alignas(64) ShardSlot {
+  /// here, its Phase-1 index, and this step's scored run (arena spans).
+  struct ShardSlot {
     std::vector<StreamTuple> cache;
     /// Value -> cached-tuple count, per stream; engaged under the same
     /// criteria as the serial engine's index.
     std::vector<std::unordered_map<Value, std::int64_t>> value_index;
-    /// This step's (merge key, tuple) run, sorted best-first. Arena span
-    /// carved by the driver before the epoch (capacity cache.size()).
+    /// This step's (merge key, tuple) run, sorted best-first. Arena span,
+    /// capacity cache.size().
     ScoredEntry* scored = nullptr;
     std::size_t scored_size = 0;
     /// Cached tuples the policy scored as nullopt this step (e.g. the
@@ -168,15 +138,6 @@ class ShardedStreamEngine {
     ShardKey* batch_keys = nullptr;
   };
 
-  /// Pre-epoch driver context handed to the type-erased epoch thunks.
-  struct StepEpochContext {
-    ShardedStreamEngine* engine = nullptr;
-    const EngineContext* ctx = nullptr;
-    EngineShardScoring* scoring = nullptr;
-    Time now = 0;
-    bool use_value_index = false;
-  };
-
   /// The once-per-run (or once-per-Open) executor decision: non-null iff
   /// the policy decomposes and shards > 1. Records fallback_reason_.
   EngineShardScoring* DecideScoring(EnginePolicy& policy);
@@ -188,21 +149,10 @@ class ShardedStreamEngine {
   void AdvanceSharded(SessionState& session,
                       const std::vector<const std::vector<Value>*>& batch);
   EngineRunResult CloseSharded(SessionState& session);
-  /// Delivers the buffered scalar step views, in order.
-  void FlushPendingViews(const std::vector<StepObserver*>& observers);
 
-  /// Worker w's slice of the probe/score epoch: every shard s with
-  /// s % workers == w, in shard order.
-  void RunShardSlice(const StepEpochContext& step, int worker);
-  /// One shard's probes + cached scoring + run sort (worker context).
-  void ProcessShard(const StepEpochContext& step, std::size_t shard);
-  /// Worker w's slice of a merge-cascade level.
-  void RunMergeSlice(int worker);
-  static void MergePair(const MergeJob& job);
-
-  /// Type-erased trampolines handed to ShardWorkers::RunEpoch.
-  static void ShardsEpochThunk(void* raw, int worker);
-  static void MergeEpochThunk(void* raw, int worker);
+  /// One shard's scratch carving, probes, cached scoring and run sort.
+  void ProcessShard(const EngineContext& ctx, EngineShardScoring& scoring,
+                    std::size_t shard);
 
   /// Sorts a scored run best-first. Shard runs enter nearly sorted (the
   /// commit rebuilds shard caches in merged order, and score advancement
@@ -219,9 +169,6 @@ class ShardedStreamEngine {
     x ^= x >> 32;
     return static_cast<std::size_t>(x % num_shards_);
   }
-
-  /// Sum of growth_events() over the team's arenas (validation hook).
-  std::int64_t ArenaGrowthEvents() const;
 
   Options options_;
   /// Serial engine: fallback executor and the topology/option holder.
@@ -240,9 +187,9 @@ class ShardedStreamEngine {
   /// policy's batch kernel; decided once at OpenSharded from the
   /// scoring's ShardBatchScorable().
   bool run_batch_scoring_ = false;
-  /// Persistent worker team, rebuilt only when the team shape changes;
-  /// reused across Run() calls so steady-state runs spawn no threads.
-  std::unique_ptr<ShardWorkers> workers_;
+  /// Per-step scratch: reserved for the worst case at OpenSharded and
+  /// reset at the start of every scored step.
+  ShardArena arena_;
 
   // Sharded-run state, hoisted so the steady state allocates nothing.
   std::vector<ShardSlot> slots_;
@@ -254,13 +201,10 @@ class ShardedStreamEngine {
   std::vector<TupleId> decided_;
   std::vector<TupleId> retained_;
   std::vector<TupleId> evicted_;  // candidates \ retained, per step.
-  // Merge-cascade state: the current level's sorted runs, the next
-  // level's, and the level's pairwise jobs (outputs are arena spans).
+  // Merge-cascade state: the current level's sorted runs and the next
+  // level's (merge outputs are arena spans).
   std::vector<MergeRun> merge_runs_;
   std::vector<MergeRun> next_runs_;
-  std::vector<MergeJob> merge_jobs_;
-  // Deferred observer views for batched delivery (scalar fields only).
-  std::vector<EngineStepView> pending_views_;
   std::unordered_map<TupleId, StreamTuple> candidates_;
   std::unordered_set<TupleId> retained_set_;
   std::int64_t arena_growth_baseline_ = 0;

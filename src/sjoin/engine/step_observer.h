@@ -92,11 +92,10 @@ class StepObserver {
   /// Observer-compatibility query for batched multi-step execution: an
   /// observer returning true promises its OnStep reads only the scalar
   /// fields of EngineStepView (now / produced / counted / num_candidates /
-  /// the probe-plan counters) and tolerates deferred delivery — engines running batched steps
-  /// (ShardedStreamEngine) buffer such views and deliver them, in order,
-  /// at batch boundaries with the pointer fields null. The default false
-  /// keeps the classic protocol: OnStep fires inside the step with every
-  /// pointer valid. Deferral never changes what is delivered, only when.
+  /// the probe-plan counters) and would tolerate deferred delivery with
+  /// the pointer fields null. No engine defers delivery today: every
+  /// engine calls OnStep inside the step with every pointer valid,
+  /// whatever this returns.
   virtual bool AllowsBatchedSteps() const { return false; }
 };
 
@@ -107,9 +106,6 @@ class PerfObserver final : public StepObserver {
   void OnRunBegin(const EngineRunView& run) override;
   void OnStep(const EngineStepView& step) override;
   void OnRunEnd(const EngineRunView& run) override;
-  /// Telemetry is pure scalar aggregation, so deferred delivery yields
-  /// identical results (run_ns brackets the whole run either way).
-  bool AllowsBatchedSteps() const override { return true; }
 
   const EngineTelemetry& telemetry() const { return telemetry_; }
 

@@ -102,7 +102,6 @@ void StreamEngine::OpenWithLength(SessionState& session,
   session.options = options;
   session.sharded_owner = nullptr;
   session.scoring = nullptr;
-  session.batched_observers = false;
   session.batch_scoring = policy.WantsCandidateBatch();
 
   policy.Reset();

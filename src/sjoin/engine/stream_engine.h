@@ -288,8 +288,8 @@ class StreamEngine {
 ///
 /// A session opened by StreamEngine (or by ShardedStreamEngine's serial
 /// fallback) is engine-portable. A session opened on the sharded path
-/// pins to its opening engine — the slot, worker and arena structures
-/// backing it are engine-resident (`sharded_owner` below).
+/// pins to its opening engine — the shard slots and scratch arena backing
+/// it are engine-resident (`sharded_owner` below).
 struct SessionState {
   /// True between Open and Close.
   bool open = false;
@@ -326,9 +326,6 @@ struct SessionState {
   // (its shard slots live in the engine, keyed to this session).
   ShardedStreamEngine* sharded_owner = nullptr;
   EngineShardScoring* scoring = nullptr;
-  /// Every attached observer tolerates deferred scalar-only delivery
-  /// (StepObserver::AllowsBatchedSteps), decided once at Open.
-  bool batched_observers = false;
 };
 
 /// Adapts a binary ReplacementPolicy to the engine interface for

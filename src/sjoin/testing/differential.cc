@@ -121,22 +121,6 @@ int DiffShards() {
   return shards;
 }
 
-/// SJOIN_DIFF_THREADS=<n> (n > 1) runs the sharded reruns requested by
-/// SJOIN_DIFF_SHARDS on a persistent worker team of n threads instead of
-/// inline, so the suites double as a threading differential: parallel
-/// shard scoring and the parallel merge cascade must stay bit-identical
-/// to the serial oracles. No effect unless SJOIN_DIFF_SHARDS engages the
-/// sharded path. Returns 0 when unset or <= 1.
-int DiffThreads() {
-  static const int threads = [] {
-    const char* env = std::getenv("SJOIN_DIFF_THREADS");
-    if (env == nullptr) return 0;
-    int parsed = std::atoi(env);
-    return parsed > 1 ? parsed : 0;
-  }();
-  return threads;
-}
-
 /// SJOIN_DIFF_MULTI=1 makes the multi_planner suite additionally rerun
 /// every trial through the MultiJoinSimulator façade (planner on and off),
 /// which must reproduce the direct-engine results exactly.
@@ -177,7 +161,6 @@ JoinRunResult RunOptimizedJoin(const JoinSimulator::Options& options,
   }();
   JoinSimulator::Options run_options = options;
   if (DiffShards() > 0) run_options.shards = DiffShards();
-  if (DiffThreads() > 0) run_options.threads = DiffThreads();
   if (!direct) return JoinSimulator(run_options).Run(r, s, policy);
 
   // ShardedStreamEngine with shards = 1 delegates to a plain serial
@@ -188,8 +171,7 @@ JoinRunResult RunOptimizedJoin(const JoinSimulator::Options& options,
       {.capacity = run_options.capacity,
        .warmup = run_options.warmup,
        .window = run_options.window,
-       .shards = run_options.shards,
-       .threads = run_options.threads});
+       .shards = run_options.shards});
   BinaryPolicyAdapter adapter(&policy);
   JoinRunResult result;
   PerfObserver perf;
@@ -973,10 +955,8 @@ std::optional<std::string> ReductionTrial(std::uint64_t seed) {
   cache_options.window = scenario.window;
   // Under SJOIN_DIFF_SHARDS the engine-backed side runs sharded while the
   // naive loop stays serial — every comparison below then doubles as a
-  // sharding bit-identity check on the reduction path (and a threading
-  // one under SJOIN_DIFF_THREADS).
+  // sharding bit-identity check on the reduction path.
   if (DiffShards() > 0) cache_options.shards = DiffShards();
-  if (DiffThreads() > 0) cache_options.threads = DiffThreads();
   CacheSimulator cache_sim(cache_options);
   CacheRunResult cached = cache_sim.Run(references, *policy);
   std::string context = scenario.description + " policy=" + policy->name();
@@ -1066,16 +1046,14 @@ std::optional<std::string> ReductionTrial(std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Suite 8: sharded_engine — ShardedStreamEngine across shard counts
-// {1, 2, 4, 8} crossed with worker-team sizes (inline, fewer threads than
-// shards, one per shard, more threads than shards) against the serial
-// StreamEngine on the same realization and policy, bit for bit: per-step
-// retained ids (in policy order), post-step cache contents, produced
-// counts, candidate-set sizes, run totals, and merged telemetry. This is
-// the direct statement of the sharding contract; the SJOIN_DIFF_SHARDS /
-// SJOIN_DIFF_THREADS hooks additionally re-run the other suites' oracles
-// sharded (and threaded). The HEEB-direct, PROB and LIFE variants draw
-// half their scenarios from the skewed pool (Zipf popularity, bursty
+// Suite 8: sharded_engine — ShardedStreamEngine at shard counts
+// {1, 2, 4, 8} against the serial StreamEngine on the same realization
+// and policy, bit for bit: per-step retained ids (in policy order),
+// post-step cache contents, produced counts, candidate-set sizes, run
+// totals, and merged telemetry. This is the direct statement of the
+// sharding contract; the SJOIN_DIFF_SHARDS hook additionally re-runs the
+// other suites' oracles sharded. The HEEB-direct, PROB and LIFE variants
+// draw half their scenarios from the skewed pool (Zipf popularity, bursty
 // phases, regime switches), so hot shards run against the serial engine
 // too.
 
@@ -1222,25 +1200,15 @@ std::optional<std::string> ShardedEngineTrial(std::uint64_t seed) {
   EngineRunResult serial_run =
       serial_engine.Run({&r, &s}, adapter, {&serial_perf, &serial_trace});
 
-  // Shard counts cross worker-team sizes: threads == 1 is the inline
-  // path, threads < shards folds several shards onto one worker,
-  // threads == shards is one shard per worker, and threads > shards
-  // leaves workers idle. Every combination must reproduce the serial
-  // trace bit for bit — the merge cascade's output is independent of
-  // how (or whether) its pair merges are parallelized.
-  struct ShardCase {
-    int shards;
-    int threads;
-  };
-  constexpr ShardCase kCases[] = {{1, 1}, {2, 2}, {4, 1}, {4, 2},
-                                  {4, 4}, {8, 3}, {4, 8}};
-  for (const ShardCase c : kCases) {
+  // Every shard count must reproduce the serial trace bit for bit — the
+  // merge cascade's output is independent of how the value domain is
+  // split.
+  for (const int shards : {1, 2, 4, 8}) {
     ShardedStreamEngine sharded(StreamTopology::Binary(),
                                 {.capacity = scenario.capacity,
                                  .warmup = scenario.warmup,
                                  .window = scenario.window,
-                                 .shards = c.shards,
-                                 .threads = c.threads});
+                                 .shards = shards});
     EngineTraceObserver trace;
     PerfObserver perf;
     EngineRunResult run =
@@ -1248,7 +1216,7 @@ std::optional<std::string> ShardedEngineTrial(std::uint64_t seed) {
 
     std::ostringstream context;
     context << scenario.description << " policy=" << policy->name()
-            << " shards=" << c.shards << " threads=" << c.threads;
+            << " shards=" << shards;
     if (run.total_results != serial_run.total_results ||
         run.counted_results != serial_run.counted_results) {
       std::ostringstream out;
@@ -1745,14 +1713,12 @@ std::optional<std::string> ServeSchedulerTrial(std::uint64_t seed) {
 // kTimeIncremental / kWalkTable, PROB, LIFE, caching HEEB) and runs the
 // same realization three ways: serial scalar (the baseline: an attached
 // score observer forces the per-tuple Score() path), serial kernel, and
-// sharded kernel (4 shards on 2 worker threads, or SJOIN_DIFF_SHARDS x
-// SJOIN_DIFF_THREADS when set). The kernels preserve per-lane operation
-// order, so every run must reproduce the baseline exactly — scores,
-// retained sets, produced counts, telemetry.
+// sharded kernel (4 shards, or SJOIN_DIFF_SHARDS when set). The kernels
+// preserve per-lane operation order, so every run must reproduce the
+// baseline exactly — scores, retained sets, produced counts, telemetry.
 
-/// Shard/thread shape of the batch_scoring suite's sharded kernel run.
+/// Shard count of the batch_scoring suite's sharded kernel run.
 int BatchShards() { return DiffShards() > 0 ? DiffShards() : 4; }
-int BatchThreads() { return DiffThreads() > 0 ? DiffThreads() : 2; }
 
 std::optional<std::string> BatchScoringTrial(std::uint64_t seed) {
   const int variant = static_cast<int>(seed % 6);
@@ -1807,7 +1773,6 @@ std::optional<std::string> BatchScoringTrial(std::uint64_t seed) {
 
     CacheSimulator::Options sharded_options = cache_options;
     sharded_options.shards = BatchShards();
-    sharded_options.threads = BatchThreads();
     struct CacheCase {
       const char* name;
       CacheSimulator::Options options;
@@ -1911,8 +1876,7 @@ std::optional<std::string> BatchScoringTrial(std::uint64_t seed) {
                                  {.capacity = scenario.capacity,
                                   .warmup = scenario.warmup,
                                   .window = scenario.window,
-                                  .shards = BatchShards(),
-                                  .threads = BatchThreads()});
+                                  .shards = BatchShards()});
       run = engine.Run({&r, &s}, adapter, {&perf, &trace});
       if (engine.fallback_reason() != nullptr) {
         return scenario.description + " policy=" + policy->name() +
@@ -1984,7 +1948,7 @@ const std::vector<DifferentialSuite>& Registry() {
        "CacheSimulator vs naive cache loop; caching HEEB vs naive oracle",
        1000, &ReductionTrial},
       {"sharded_engine",
-       "ShardedStreamEngine at shards {1,2,4,8} x worker threads vs the "
+       "ShardedStreamEngine at shards {1,2,4,8} vs the "
        "serial StreamEngine on independent and skewed workloads: per-step "
        "retained/cache/produced traces and telemetry, bit for bit",
        1000, &ShardedEngineTrial},

@@ -114,6 +114,16 @@ TEST(BenchHarnessTest, PerfSmokeEmitsValidJson) {
   EXPECT_NE(text.str().find("\"workload\":\"ZIPF12\""), std::string::npos);
   EXPECT_NE(text.str().find("\"planner\":1"), std::string::npos);
   EXPECT_NE(text.str().find("\"probe_cache_hit_rate\""), std::string::npos);
+  // Engine rows run their shards inline: every row records threads=1
+  // (only serve_load's rows sweep threads, counting scheduler workers).
+  const std::string threads_key = "\"threads\":";
+  std::size_t rows_seen = 0;
+  for (std::size_t at = text.str().find(threads_key); at != std::string::npos;
+       at = text.str().find(threads_key, at + 1)) {
+    ++rows_seen;
+    EXPECT_EQ(text.str().substr(at + threads_key.size(), 2), "1,");
+  }
+  EXPECT_GT(rows_seen, 0u);
   std::remove(out.c_str());
 }
 #endif  // PERF_SMOKE_BIN

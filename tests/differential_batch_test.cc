@@ -3,8 +3,8 @@
 // kWalkTable, PROB, LIFE, caching HEEB) runs its kernel serial and
 // sharded, comparing full per-step traces (or all four cache counters)
 // bit for bit against a serial baseline whose attached score observer
-// forces the scalar per-tuple path. SJOIN_DIFF_SHARDS / SJOIN_DIFF_THREADS
-// reshape the sharded kernel run (the TSan job runs it on 4 threads).
+// forces the scalar per-tuple path. SJOIN_DIFF_SHARDS sets the shard count
+// of the sharded kernel run.
 
 #include <gtest/gtest.h>
 

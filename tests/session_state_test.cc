@@ -245,7 +245,6 @@ TEST(SessionStateTest, ShardedSessionMatchesShardedRun) {
   options.capacity = 48;
   options.warmup = 12;
   options.shards = 4;
-  options.threads = 2;
 
   ProbPolicy batch_prob;
   BinaryPolicyAdapter batch_adapter(&batch_prob);

@@ -1,10 +1,10 @@
 // ShardedStreamEngine: value-domain sharding must be invisible in the
 // output — bit-identical per-step traces, totals and telemetry for any
-// shard count AND any worker-team size (inline, fewer/equal/more threads
-// than shards) — for scored (shard-scorable) policies, including skewed
-// inputs and NaN scores; policies without shard scoring fall back to the
-// serial engine through the same API; the façades plumb Options::shards /
-// threads.
+// shard count — for scored (shard-scorable) policies, including skewed
+// inputs, NaN scores and degenerate inputs (capacity 1, windows 0 and 1,
+// streams of length 0 and 1); capacity 0 is rejected; policies without
+// shard scoring fall back to the serial engine through the same API; the
+// façades plumb Options::shards.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sjoin/common/rng.h"
+#include "sjoin/core/heeb_join_policy.h"
 #include "sjoin/engine/cache_simulator.h"
 #include "sjoin/engine/join_simulator.h"
 #include "sjoin/engine/rank_order.h"
@@ -25,6 +26,8 @@
 #include "sjoin/policies/lru_policy.h"
 #include "sjoin/policies/prob_policy.h"
 #include "sjoin/policies/random_policy.h"
+#include "sjoin/stochastic/discrete_distribution.h"
+#include "sjoin/stochastic/stationary_process.h"
 
 namespace sjoin {
 namespace {
@@ -160,89 +163,6 @@ TEST(ShardedStreamEngineTest, FacadeShardsOptionIsBitIdentical) {
   EXPECT_EQ(cache_serial.counted_misses, cache_sharded.counted_misses);
 }
 
-TEST(ShardedStreamEngineTest, ThreadsAreBitIdenticalAtEveryTeamSize) {
-  Rng rng(53);
-  // Cross worker-team sizes with both cache regimes: threads == 1 is the
-  // inline path, 2 folds shards onto workers, 4 is one worker per shard,
-  // and 8 leaves idle workers. All must reproduce the serial trace
-  // exactly — the parallel merge cascade and the shard slices may not
-  // perturb the (score, arrival, id) order.
-  for (std::size_t capacity : {std::size_t{3}, std::size_t{40}}) {
-    std::vector<Value> r = SampleValues(300, 12, rng);
-    std::vector<Value> s = SampleValues(300, 12, rng);
-    ProbPolicy prob;
-    BinaryPolicyAdapter adapter(&prob);
-    StreamEngine::Options options{.capacity = capacity, .warmup = 20};
-
-    StreamEngine serial(StreamTopology::Binary(), options);
-    TraceObserver serial_trace;
-    PerfObserver serial_perf;
-    EngineRunResult serial_run =
-        serial.Run({&r, &s}, adapter, {&serial_perf, &serial_trace});
-
-    for (int threads : {1, 2, 4, 8}) {
-      ShardedStreamEngine engine(StreamTopology::Binary(),
-                                 {.capacity = options.capacity,
-                                  .warmup = options.warmup,
-                                  .shards = 4,
-                                  .threads = threads});
-      TraceObserver trace;
-      PerfObserver perf;
-      EngineRunResult run = engine.Run({&r, &s}, adapter, {&perf, &trace});
-
-      EXPECT_EQ(serial_run.total_results, run.total_results) << threads;
-      EXPECT_EQ(serial_run.counted_results, run.counted_results) << threads;
-      EXPECT_EQ(serial_perf.telemetry().peak_candidates,
-                perf.telemetry().peak_candidates)
-          << threads;
-      EXPECT_EQ(serial_trace.retained(), trace.retained()) << threads;
-      EXPECT_EQ(serial_trace.cache_ids(), trace.cache_ids()) << threads;
-      EXPECT_EQ(serial_trace.produced(), trace.produced()) << threads;
-    }
-  }
-}
-
-TEST(ShardedStreamEngineTest, BatchedObserverDeliveryMatchesClassic) {
-  // A PerfObserver-only chain permits batched delivery (scalar views
-  // buffered, flushed at batch boundaries); a TraceObserver in the chain
-  // forces classic per-step delivery. Both modes must agree on totals and
-  // telemetry with the serial engine.
-  Rng rng(59);
-  std::vector<Value> r = SampleValues(400, 10, rng);
-  std::vector<Value> s = SampleValues(400, 10, rng);
-  ProbPolicy prob;
-  BinaryPolicyAdapter adapter(&prob);
-
-  StreamEngine serial(StreamTopology::Binary(), {.capacity = 6, .warmup = 15});
-  PerfObserver serial_perf;
-  EngineRunResult serial_run = serial.Run({&r, &s}, adapter, {&serial_perf});
-
-  ShardedStreamEngine engine(
-      StreamTopology::Binary(),
-      {.capacity = 6, .warmup = 15, .shards = 4, .threads = 2});
-  // Batched: PerfObserver alone opts in via AllowsBatchedSteps().
-  ASSERT_TRUE(PerfObserver().AllowsBatchedSteps());
-  PerfObserver batched_perf;
-  EngineRunResult batched = engine.Run({&r, &s}, adapter, {&batched_perf});
-  EXPECT_EQ(serial_run.total_results, batched.total_results);
-  EXPECT_EQ(serial_run.counted_results, batched.counted_results);
-  EXPECT_EQ(serial_perf.telemetry().steps, batched_perf.telemetry().steps);
-  EXPECT_EQ(serial_perf.telemetry().peak_candidates,
-            batched_perf.telemetry().peak_candidates);
-
-  // Classic: the trace observer (needs pointer fields) disables batching
-  // for the whole chain; the perf numbers must come out the same anyway.
-  PerfObserver classic_perf;
-  TraceObserver trace;
-  ASSERT_FALSE(trace.AllowsBatchedSteps());
-  EngineRunResult classic =
-      engine.Run({&r, &s}, adapter, {&classic_perf, &trace});
-  EXPECT_EQ(serial_run.total_results, classic.total_results);
-  EXPECT_EQ(serial_perf.telemetry().steps, classic_perf.telemetry().steps);
-  EXPECT_EQ(serial_perf.telemetry().peak_candidates,
-            classic_perf.telemetry().peak_candidates);
-}
-
 TEST(ShardedStreamEngineTest, FacadeIsReusableAcrossRuns) {
   Rng rng(43);
   std::vector<Value> r = SampleValues(200, 9, rng);
@@ -250,7 +170,7 @@ TEST(ShardedStreamEngineTest, FacadeIsReusableAcrossRuns) {
   ProbPolicy prob;
 
   JoinRunResult serial = JoinSimulator({.capacity = 6}).Run(r, s, prob);
-  JoinSimulator sim({.capacity = 6, .shards = 4, .threads = 2});
+  JoinSimulator sim({.capacity = 6, .shards = 4});
   for (int run = 0; run < 3; ++run) {
     JoinRunResult sharded = sim.Run(r, s, prob);
     EXPECT_EQ(serial.total_results, sharded.total_results) << run;
@@ -270,12 +190,6 @@ TEST(ShardedStreamEngineTest, EngineIsReusableAcrossRuns) {
   EngineRunResult second = engine.Run({&r, &s}, adapter);
   EXPECT_EQ(first.total_results, second.total_results);
   EXPECT_EQ(first.counted_results, second.counted_results);
-}
-
-TEST(ShardedStreamEngineTest, DefaultThreadsIsBoundedByShards) {
-  EXPECT_EQ(ShardedStreamEngine::DefaultThreads(1), 1);
-  EXPECT_GE(ShardedStreamEngine::DefaultThreads(8), 1);
-  EXPECT_LE(ShardedStreamEngine::DefaultThreads(8), 8);
 }
 
 /// A Zipf-skewed value stream: value v with mass ~ (v+1)^-s over
@@ -356,18 +270,54 @@ TEST(ShardedStreamEngineTest, NanScoresGiveTheSameResultsAtEveryShardCount) {
   EXPECT_GT(serial_run.counted_results, 0);
 
   for (int shards : {1, 2, 4, 8}) {
-    for (int threads : {1, 4}) {
-      ShardedStreamEngine engine(
-          StreamTopology::Binary(),
-          {.capacity = 20, .shards = shards, .threads = threads});
-      TraceObserver trace;
-      EngineRunResult run = engine.Run({&r, &s}, adapter, {&trace});
-      EXPECT_EQ(serial_run.counted_results, run.counted_results)
-          << shards << "x" << threads;
-      EXPECT_EQ(serial_trace.retained(), trace.retained())
-          << shards << "x" << threads;
-    }
+    ShardedStreamEngine engine(StreamTopology::Binary(),
+                               {.capacity = 20, .shards = shards});
+    TraceObserver trace;
+    EngineRunResult run = engine.Run({&r, &s}, adapter, {&trace});
+    EXPECT_EQ(serial_run.counted_results, run.counted_results) << shards;
+    EXPECT_EQ(serial_trace.retained(), trace.retained()) << shards;
   }
+}
+
+TEST(ShardedStreamEngineTest, DegenerateInputsMatchSerialBitForBit) {
+  // Capacity 1, windows 0 and 1, and streams of length 0 and 1: each
+  // must give the serial engine's result at every shard count, for PROB,
+  // LIFE and HEEB-time-incr (on a stationary model of the sampled values).
+  const StationaryProcess model(DiscreteDistribution::BoundedUniform(0, 11));
+  struct DegenerateCase {
+    const char* name;
+    StreamEngine::Options options;
+    Time length;
+  };
+  const DegenerateCase kCases[] = {
+      {"capacity 1", {.capacity = 1, .warmup = 5}, 200},
+      {"window 0", {.capacity = 6, .warmup = 5, .window = 0}, 200},
+      {"window 1", {.capacity = 6, .warmup = 5, .window = 1}, 200},
+      {"length 0", {.capacity = 6}, 0},
+      {"length 1", {.capacity = 6}, 1},
+  };
+  Rng rng(89);
+  for (const DegenerateCase& c : kCases) {
+    SCOPED_TRACE(c.name);
+    std::vector<Value> r = SampleValues(c.length, 12, rng);
+    std::vector<Value> s = SampleValues(c.length, 12, rng);
+    ProbPolicy prob;
+    ExpectShardedMatchesSerial(c.options, r, s, prob);
+    LifePolicy life(7);
+    ExpectShardedMatchesSerial(c.options, r, s, life);
+    HeebJoinPolicy heeb(
+        &model, &model,
+        {.mode = HeebJoinPolicy::Mode::kTimeIncremental, .horizon = 40});
+    ExpectShardedMatchesSerial(c.options, r, s, heeb);
+  }
+}
+
+TEST(ShardedStreamEngineDeathTest, CapacityZeroIsRejected) {
+  EXPECT_DEATH(StreamEngine(StreamTopology::Binary(), {.capacity = 0}),
+               "capacity");
+  EXPECT_DEATH(ShardedStreamEngine(StreamTopology::Binary(),
+                                   {.capacity = 0, .shards = 4}),
+               "capacity");
 }
 
 }  // namespace
