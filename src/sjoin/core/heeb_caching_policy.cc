@@ -1,8 +1,7 @@
 #include "sjoin/core/heeb_caching_policy.h"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
+#include <unordered_map>
 
 #include "sjoin/common/check.h"
 #include "sjoin/core/heeb.h"
@@ -147,17 +146,16 @@ double HeebCachingPolicy::Score(Value v, const CachingContext& ctx) {
           }
           if (reanchored) continue;
         }
-        // Drop values no longer cached (and not the current candidate).
-        std::vector<Value> stale;
-        for (const auto& [value, state] : cached_h_) {
-          (void)state;
-          if (value == ctx.referenced) continue;
-          if (std::find(ctx.cached->begin(), ctx.cached->end(), value) ==
-              ctx.cached->end()) {
-            stale.push_back(value);
-          }
+        // Drop values no longer cached (and not the current candidate):
+        // one pass stamps the cached values, one pass erases the rest.
+        for (Value value : *ctx.cached) {
+          auto it = cached_h_.find(value);
+          if (it != cached_h_.end()) it->second.live_at = ctx.now;
         }
-        for (Value value : stale) cached_h_.erase(value);
+        std::erase_if(cached_h_, [&ctx](const auto& entry) {
+          return entry.first != ctx.referenced &&
+                 entry.second.live_at != ctx.now;
+        });
       }
       state_time_ = ctx.now;
       auto it = cached_h_.find(v);

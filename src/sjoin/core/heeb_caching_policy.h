@@ -102,6 +102,8 @@ class HeebCachingPolicy final : public ScoredCachingPolicy {
   struct IncrementalState {
     double h = 0.0;
     Time updates_since_refresh = 0;
+    /// Last step at which the value was seen in the cache (stale sweep).
+    Time live_at = -1;
   };
   std::unordered_map<Value, IncrementalState> cached_h_;
   Time state_time_ = -1;

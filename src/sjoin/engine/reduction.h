@@ -49,12 +49,29 @@ class CachingReduction {
   /// Inverse of Encode.
   std::pair<Value, std::int64_t> Decode(Value encoded) const;
 
+  // Dense value ids: each distinct original value gets an id in
+  // [0, num_values()), in order of first reference, so per-step lookups by
+  // value can index flat arrays.
+
+  /// Number of distinct original values.
+  std::size_t num_values() const { return dense_of_value_.size(); }
+
+  /// Dense id of original value `v`, or -1 when `v` is never referenced.
+  std::int32_t DenseOf(Value v) const;
+
+  /// Dense id of the original value an encoded pair carries
+  /// (bounds-checked vector lookup, like Decode).
+  std::int32_t DenseOfEncoded(Value encoded) const;
+
  private:
   std::vector<Value> references_;
   std::vector<Value> r_stream_;
   std::vector<Value> s_stream_;
   std::map<std::pair<Value, std::int64_t>, Value> encode_;
   std::vector<std::pair<Value, std::int64_t>> decode_;
+  /// Dense id per encoded value (parallel to decode_).
+  std::vector<std::int32_t> dense_of_encoded_;
+  std::unordered_map<Value, std::int32_t> dense_of_value_;
 };
 
 /// Adapts a caching policy to the joining problem over the transformed
@@ -73,8 +90,7 @@ class ReductionJoinPolicy final : public ReplacementPolicy,
  public:
   /// Neither pointer is owned; both must outlive the policy.
   ReductionJoinPolicy(const CachingReduction* reduction,
-                      CachingPolicy* caching_policy)
-      : reduction_(reduction), caching_policy_(caching_policy) {}
+                      CachingPolicy* caching_policy);
 
   void Reset() override;
 
@@ -107,13 +123,24 @@ class ReductionJoinPolicy final : public ReplacementPolicy,
   /// — leaving the members below describing the step.
   void PrepareStep(const PolicyContext& ctx);
 
+  /// Hit: the cached ids in cache order, with the fresh supply arrival in
+  /// place of the referenced value's dead tuple.
+  void HitRetainedIds(const PolicyContext& ctx,
+                      std::vector<TupleId>* ids) const;
+
   const CachingReduction* reduction_;
   CachingPolicy* caching_policy_;
   StreamHistory reference_history_;
 
   // Step state filled by PrepareStep (reused across steps).
-  std::unordered_map<Value, const Tuple*> cached_by_value_;
+  /// Cache position of each dense value id; -1 when not cached. Sized once
+  /// at construction; PrepareStep resets only the entries it set last.
+  std::vector<std::int32_t> cached_pos_by_dense_;
+  /// Dense ids of this step's cached tuples, in cache order.
+  std::vector<std::int32_t> cached_dense_;
   std::vector<Value> cached_values_;
+  /// Cache position of the referenced value, or -1 when not cached.
+  std::int32_t ref_pos_ = -1;
   CachingContext caching_ctx_;
   Value ref_value_ = 0;
   bool hit_ = false;

@@ -248,7 +248,7 @@ void ShardedStreamEngine::OpenSharded(SessionState& session,
   retained_.reserve(options_.capacity + static_cast<std::size_t>(n));
   evicted_.reserve(options_.capacity + static_cast<std::size_t>(n));
   decided_.reserve(options_.capacity + static_cast<std::size_t>(n));
-  retained_set_.reserve(options_.capacity + static_cast<std::size_t>(n));
+  retention_.Reserve(options_.capacity + static_cast<std::size_t>(n));
   // At most num_shards + 1 runs enter the cascade, so it performs at most
   // num_shards pairwise merges per step across ceil(log2) levels.
   std::size_t levels = 0;
@@ -483,34 +483,22 @@ void ShardedStreamEngine::AdvanceSharded(
         }
       }
       SJOIN_CHECK_LE(decided_.size(), options_.capacity);
-      candidates_.clear();
-      for (const StreamTuple& tuple : cache_) {
-        candidates_.emplace(tuple.id, tuple);
-      }
-      for (const StreamTuple& tuple : arrivals_) {
-        candidates_.emplace(tuple.id, tuple);
-      }
-      retained_set_.clear();
-      for (TupleId id : decided_) {
-        auto it = candidates_.find(id);
-        SJOIN_CHECK_MSG(it != candidates_.end(),
-                        "policy decided a tuple that is not a candidate");
-        SJOIN_CHECK_MSG(retained_set_.insert(id).second,
-                        "policy decided the same tuple twice");
-        retained_.push_back(id);
-        new_cache_.push_back(it->second);
-      }
+      retention_.Resolve(cache_, arrivals_, decided_,
+                         {.not_candidate =
+                              "policy decided a tuple that is not a candidate",
+                          .twice = "policy decided the same tuple twice"},
+                         &new_cache_);
+      retained_.swap(decided_);
 
-      // Commit for a decided step: incremental swap-remove against the
-      // retained set (decided steps retain almost everything, so a full
-      // rebuild would be wasted work).
-      retained_set_.clear();
-      for (TupleId id : retained_) retained_set_.insert(id);
+      // Commit for a decided step: incremental swap-remove of the
+      // unflagged cached positions (decided steps retain almost
+      // everything, so a full rebuild would be wasted work).
       evicted_.clear();
       for (ShardSlot& slot : slots_) {
         for (std::size_t i = 0; i < slot.cache.size();) {
           const StreamTuple& tuple = slot.cache[i];
-          if (retained_set_.contains(tuple.id)) {
+          if (retention_.kept(static_cast<std::size_t>(
+                  retention_.PositionOf(tuple.id)))) {
             ++i;
             continue;
           }
@@ -525,8 +513,9 @@ void ShardedStreamEngine::AdvanceSharded(
           slot.cache.pop_back();
         }
       }
-      for (const StreamTuple& arrival : arrivals_) {
-        if (!retained_set_.contains(arrival.id)) {
+      for (std::size_t a = 0; a < arrivals_.size(); ++a) {
+        const StreamTuple& arrival = arrivals_[a];
+        if (!retention_.kept(cache_.size() + a)) {
           evicted_.push_back(arrival.id);
           continue;
         }
@@ -551,6 +540,11 @@ void ShardedStreamEngine::AdvanceSharded(
 
     if constexpr (kValidationEnabled) {
       SJOIN_VALIDATE(cache_.size() <= options_.capacity);
+      // Either path's committed cache must be the retained list resolved
+      // from scratch (new_cache_ now holds the previous cache).
+      SJOIN_VALIDATE_MSG(
+          CommitMatchesRetained(new_cache_, arrivals_, retained_, cache_),
+          "committed cache differs from the policy's retained list");
       // The scored-step hot loop must never fall back to heap growth:
       // the arena was reserved for the worst case at run setup.
       SJOIN_VALIDATE_MSG(arena_.growth_events() == arena_growth_baseline_,

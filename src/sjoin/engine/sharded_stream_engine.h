@@ -5,12 +5,12 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sjoin/common/shard_arena.h"
 #include "sjoin/common/types.h"
 #include "sjoin/engine/replacement_policy.h"
+#include "sjoin/engine/retention.h"
 #include "sjoin/engine/step_observer.h"
 #include "sjoin/engine/stream_engine.h"
 #include "sjoin/engine/stream_tuple.h"
@@ -205,8 +205,9 @@ class ShardedStreamEngine {
   // level's (merge outputs are arena spans).
   std::vector<MergeRun> merge_runs_;
   std::vector<MergeRun> next_runs_;
-  std::unordered_map<TupleId, StreamTuple> candidates_;
-  std::unordered_set<TupleId> retained_set_;
+  /// Decided-step commit: id -> candidate position table and kept flags,
+  /// shared with the serial engine's commit.
+  RetentionResolver retention_;
   std::int64_t arena_growth_baseline_ = 0;
 };
 

@@ -52,8 +52,6 @@ StreamEngine::StreamEngine(StreamTopology topology, Options options)
   const auto n = static_cast<std::size_t>(topology_.num_streams());
   new_cache_.reserve(options_.capacity);
   arrivals_.reserve(n);
-  candidates_.reserve(options_.capacity + n);
-  retained_set_.reserve(options_.capacity + n);
 }
 
 EngineRunResult StreamEngine::Run(
@@ -167,6 +165,9 @@ void StreamEngine::Advance(
   const bool use_value_index = session.use_value_index;
   ProbePlanner* planner = opts.probe_planner;
   EnginePolicy& policy = *session.policy;
+  // Sessions sharing this engine may differ in capacity; the resolver
+  // grows to the largest and then never allocates again.
+  retention_.Reserve(opts.capacity + static_cast<std::size_t>(n));
 
   for (Time i = 0; i < steps; ++i) {
     const Time t = session.now;
@@ -289,29 +290,24 @@ void StreamEngine::Advance(
     std::vector<TupleId> retained = policy.SelectRetained(ctx);
     SJOIN_CHECK_LE(retained.size(), opts.capacity);
 
-    candidates_.clear();
-    for (const StreamTuple& tuple : session.cache) {
-      candidates_.emplace(tuple.id, tuple);
-    }
-    for (const StreamTuple& tuple : arrivals_) {
-      candidates_.emplace(tuple.id, tuple);
-    }
-    const std::size_t num_candidates = candidates_.size();
-
     new_cache_.clear();
-    retained_set_.clear();
-    for (TupleId id : retained) {
-      auto it = candidates_.find(id);
-      SJOIN_CHECK_MSG(it != candidates_.end(),
-                      "policy retained a tuple that is not a candidate");
-      SJOIN_CHECK_MSG(retained_set_.insert(id).second,
-                      "policy retained the same tuple twice");
-      new_cache_.push_back(it->second);
-    }
+    retention_.Resolve(session.cache, arrivals_, retained,
+                       {.not_candidate =
+                            "policy retained a tuple that is not a candidate",
+                        .twice = "policy retained the same tuple twice"},
+                       &new_cache_);
+    // Cache and arrival ids never collide (arrival ids are minted this
+    // step), so the candidate-set size is just the sum.
+    const std::size_t num_candidates =
+        session.cache.size() + arrivals_.size();
 
+    // Index upkeep touches only evictees (unflagged cached positions) and
+    // admissions (flagged arrivals), in that order.
     if (use_value_index || planner != nullptr) {
-      for (const StreamTuple& tuple : session.cache) {
-        if (retained_set_.contains(tuple.id)) continue;  // Still cached.
+      const std::size_t num_cached = session.cache.size();
+      for (std::size_t pos = 0; pos < num_cached; ++pos) {
+        if (retention_.kept(pos)) continue;  // Still cached.
+        const StreamTuple& tuple = session.cache[pos];
         if (use_value_index) {
           auto& index =
               session.value_index[static_cast<std::size_t>(tuple.stream)];
@@ -323,17 +319,16 @@ void StreamEngine::Advance(
           planner->OnCacheChange(tuple.stream, tuple.value);
         }
       }
-      for (const StreamTuple& tuple : arrivals_) {
-        if (retained_set_.contains(tuple.id)) {
-          if (use_value_index) {
-            ++session.value_index[static_cast<std::size_t>(tuple.stream)]
-                                 [tuple.value];
-          }
-          if (planner != nullptr) {
-            ++session
-                  .stream_counts[static_cast<std::size_t>(tuple.stream)];
-            planner->OnCacheChange(tuple.stream, tuple.value);
-          }
+      for (std::size_t i = 0; i < arrivals_.size(); ++i) {
+        if (!retention_.kept(num_cached + i)) continue;
+        const StreamTuple& tuple = arrivals_[i];
+        if (use_value_index) {
+          ++session.value_index[static_cast<std::size_t>(tuple.stream)]
+                               [tuple.value];
+        }
+        if (planner != nullptr) {
+          ++session.stream_counts[static_cast<std::size_t>(tuple.stream)];
+          planner->OnCacheChange(tuple.stream, tuple.value);
         }
       }
     }
@@ -341,6 +336,12 @@ void StreamEngine::Advance(
 
     if constexpr (kValidationEnabled) {
       SJOIN_VALIDATE(session.cache.size() <= opts.capacity);
+      // The committed cache must be the retained list resolved from
+      // scratch (new_cache_ now holds the previous cache).
+      SJOIN_VALIDATE_MSG(
+          CommitMatchesRetained(new_cache_, arrivals_, retained,
+                                session.cache),
+          "committed cache differs from the policy's retained list");
       for (const StreamTuple& tuple : session.cache) {
         SJOIN_VALIDATE_MSG(tuple.stream >= 0 && tuple.stream < n,
                            "cached tuple has an out-of-range stream");

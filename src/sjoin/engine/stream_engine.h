@@ -5,13 +5,13 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "sjoin/common/types.h"
 #include "sjoin/engine/candidate_batch.h"
 #include "sjoin/engine/replacement_policy.h"
+#include "sjoin/engine/retention.h"
 #include "sjoin/engine/step_observer.h"
 #include "sjoin/engine/stream_tuple.h"
 #include "sjoin/stochastic/stream_history.h"
@@ -270,8 +270,8 @@ class StreamEngine {
   // to share across sessions — and what makes Advance non-reentrant.
   std::vector<StreamTuple> new_cache_;
   std::vector<StreamTuple> arrivals_;
-  std::unordered_map<TupleId, StreamTuple> candidates_;
-  std::unordered_set<TupleId> retained_set_;
+  /// The commit's id -> candidate position table and kept flags.
+  RetentionResolver retention_;
   // SoA lanes of the per-step CandidateBatch (cached then arrivals),
   // rebuilt each step for sessions whose policy wants the batch.
   std::vector<Value> batch_values_;
