@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "sjoin/common/check.h"
+#include "sjoin/common/validate.h"
 #include "sjoin/core/heeb.h"
 #include "sjoin/core/model_repo.h"
 
@@ -19,8 +20,7 @@ HeebJoinPolicy::HeebJoinPolicy(const StochasticProcess* r_process,
       horizon_(options.horizon > 0 ? options.horizon
                                    : ExpHorizon(options.alpha)) {
   SJOIN_CHECK(r_process != nullptr && s_process != nullptr);
-  if (options_.mode == Mode::kTimeIncremental ||
-      options_.mode == Mode::kValueIncremental) {
+  if (incremental()) {
     SJOIN_CHECK_MSG(r_process_->IsIndependent() &&
                         s_process_->IsIndependent(),
                     "incremental HEEB requires independent stream variables");
@@ -82,10 +82,10 @@ HeebJoinPolicy::CachedState* HeebJoinPolicy::FindState(TupleId id) {
   return it == slot_index_.end() ? nullptr : &slots_[it->second];
 }
 
-void HeebJoinPolicy::InsertState(const Tuple& tuple, double h) {
+void HeebJoinPolicy::InsertState(const Tuple& tuple, double h, Time now) {
   slot_index_.emplace(tuple.id, slots_.size());
-  slots_.push_back(
-      CachedState{h, tuple.id, tuple.side, tuple.value, tuple.arrival, 0});
+  slots_.push_back(CachedState{h, tuple.id, tuple.side, tuple.value,
+                               tuple.arrival, 0, now});
 }
 
 void HeebJoinPolicy::EraseState(TupleId id) {
@@ -102,49 +102,13 @@ void HeebJoinPolicy::EraseState(TupleId id) {
 }
 
 void HeebJoinPolicy::BeginStep(const PolicyContext& ctx) {
-  if (options_.mode == Mode::kWalkTable) return;
-
-  if (options_.mode == Mode::kDirect ||
-      options_.mode == Mode::kTimeIncremental) {
-    // Arrivals are scored with direct sums; build this step's predictions.
-    // kValueIncremental builds them lazily only when its transfer falls
-    // back to a direct sum (see EnsurePredictions).
-    EnsurePredictions(ctx);
-  }
-
-  if (options_.mode == Mode::kTimeIncremental ||
-      options_.mode == Mode::kValueIncremental) {
-    SJOIN_CHECK_MSG(!ctx.window.has_value() ||
-                        options_.mode == Mode::kTimeIncremental,
-                    "value-incremental HEEB does not support sliding "
-                    "windows; use kDirect or kTimeIncremental");
-    // Corollary 3: advance every cached H from the previous step's time to
-    // now: H_t = e^{1/alpha} H_{t-1} - Pr{X^partner_t = v}. The sweep
-    // walks the flat slot array in storage order; each entry's update is
-    // independent, so the order only affects memory access, not results.
-    if (last_step_time_ >= 0) {
-      Time gap = ctx.now - last_step_time_;
-      double e = std::exp(1.0 / options_.alpha);
-      for (CachedState& state : slots_) {
-        state.updates_since_refresh += gap;
-        if (state.updates_since_refresh >= options_.refresh_interval) {
-          // Re-anchor: the recurrence is an unstable iteration whose error
-          // grows by e^{1/alpha} per step.
-          Tuple proxy{0, state.side, state.value, state.arrival};
-          state.h = DirectScore(proxy, ctx);
-          state.updates_since_refresh = 0;
-          continue;
-        }
-        for (Time step = 1; step <= gap; ++step) {
-          double p = PartnerProbAt(state.side, state.value,
-                                   last_step_time_ + step, ctx);
-          state.h = e * state.h - p;
-          if (state.h < 0.0) state.h = 0.0;  // Guard truncation drift.
-        }
-      }
-    }
-    last_step_time_ = ctx.now;
-  }
+  // The serial step runs the sharded prologue, then advances every cached
+  // entry eagerly where the sharded step advances each as it scores it.
+  // The sweep walks the flat slot array in storage order; each entry's
+  // update is independent, so the order only affects memory access.
+  ShardBeginStep(ctx, nullptr);
+  if (!incremental()) return;
+  for (CachedState& state : slots_) Advance(state, ctx);
 }
 
 bool HeebJoinPolicy::ShardBeginStep(const PolicyContext& ctx,
@@ -160,28 +124,31 @@ bool HeebJoinPolicy::ShardBeginStep(const PolicyContext& ctx,
                       options_.mode == Mode::kTimeIncremental,
                   "value-incremental HEEB does not support sliding "
                   "windows; use kDirect or kTimeIncremental");
+  // Arrivals are scored with direct sums in kTimeIncremental, so it needs
+  // this step's predictions; kValueIncremental builds them only when an
+  // entry re-anchors or its transfer falls back to a direct sum.
   if (options_.mode == Mode::kTimeIncremental) EnsurePredictions(ctx);
 
-  shard_gap_ = last_step_time_ >= 0 ? ctx.now - last_step_time_ : 0;
-  shard_e_ = std::exp(1.0 / options_.alpha);
-  if (shard_gap_ > 0) {
+  advance_gap_ = last_step_time_ >= 0 ? ctx.now - last_step_time_ : 0;
+  advance_e_ = std::exp(1.0 / options_.alpha);
+  if (advance_gap_ > 0) {
     // Entries crossing the refresh interval re-anchor with DirectScore,
-    // which reads this step's predictions; build them up front so the
-    // parallel phase never mutates shared state.
+    // which reads this step's predictions; build them up front so scoring
+    // never mutates shared state.
     for (const CachedState& state : slots_) {
-      if (state.updates_since_refresh + shard_gap_ >=
+      if (state.updates_since_refresh + advance_gap_ >=
           options_.refresh_interval) {
         EnsurePredictions(ctx);
         break;
       }
     }
     // One partner pmf per (cached side, elapsed step), shared by every
-    // entry of that side during the lazy advance.
+    // entry of that side during the advance.
     for (StreamSide side : {StreamSide::kR, StreamSide::kS}) {
       StreamSide partner = Partner(side);
       auto& pmfs = advance_pmfs_[SideIndex(side)];
-      pmfs.resize(static_cast<std::size_t>(shard_gap_));
-      for (Time step = 1; step <= shard_gap_; ++step) {
+      pmfs.resize(static_cast<std::size_t>(advance_gap_));
+      for (Time step = 1; step <= advance_gap_; ++step) {
         process(partner)->PredictInto(
             *history(partner, ctx), last_step_time_ + step,
             &pmfs[static_cast<std::size_t>(step - 1)]);
@@ -192,10 +159,30 @@ bool HeebJoinPolicy::ShardBeginStep(const PolicyContext& ctx,
   return true;
 }
 
+void HeebJoinPolicy::Advance(CachedState& state, const PolicyContext& ctx) {
+  if (advance_gap_ == 0) return;
+  state.updates_since_refresh += advance_gap_;
+  if (state.updates_since_refresh >= options_.refresh_interval) {
+    // Re-anchor: the recurrence is an unstable iteration whose error grows
+    // by e^{1/alpha} per step.
+    SJOIN_CHECK_EQ(predictions_time_, ctx.now);  // Built by the prologue.
+    Tuple proxy{0, state.side, state.value, state.arrival};
+    state.h = DirectScore(proxy, ctx);
+    state.updates_since_refresh = 0;
+    return;
+  }
+  // Corollary 3: H_t = e^{1/alpha} H_{t-1} - Pr{X^partner_t = v}.
+  const auto& pmfs = advance_pmfs_[SideIndex(state.side)];
+  for (Time step = 1; step <= advance_gap_; ++step) {
+    double p = pmfs[static_cast<std::size_t>(step - 1)].Prob(state.value);
+    state.h = advance_e_ * state.h - p;
+    if (state.h < 0.0) state.h = 0.0;  // Guard truncation drift.
+  }
+}
+
 std::optional<ShardKey> HeebJoinPolicy::ShardScoreCached(
     const Tuple& tuple, const PolicyContext& ctx, ShardScratch* scratch) {
-  if (options_.mode != Mode::kTimeIncremental &&
-      options_.mode != Mode::kValueIncremental) {
+  if (!incremental()) {
     return ScoredPolicy::ShardScoreCached(tuple, ctx, scratch);
   }
   (void)scratch;
@@ -206,23 +193,8 @@ std::optional<ShardKey> HeebJoinPolicy::ShardScoreCached(
   CachedState* state = FindState(tuple.id);
   SJOIN_CHECK_MSG(state != nullptr,
                   "cached tuple without incremental HEEB state");
-  if (shard_gap_ > 0) {
-    state->updates_since_refresh += shard_gap_;
-    if (state->updates_since_refresh >= options_.refresh_interval) {
-      SJOIN_CHECK_EQ(predictions_time_, ctx.now);  // Built in ShardBeginStep.
-      Tuple proxy{0, state->side, state->value, state->arrival};
-      state->h = DirectScore(proxy, ctx);
-      state->updates_since_refresh = 0;
-    } else {
-      const auto& pmfs = advance_pmfs_[SideIndex(state->side)];
-      for (Time step = 1; step <= shard_gap_; ++step) {
-        double p =
-            pmfs[static_cast<std::size_t>(step - 1)].Prob(state->value);
-        state->h = shard_e_ * state->h - p;
-        if (state->h < 0.0) state->h = 0.0;  // Guard truncation drift.
-      }
-    }
-  }
+  state->candidate_at = ctx.now;
+  Advance(*state, ctx);
   // Same window guard as Score(); the entry advances either way, exactly
   // like the serial BeginStep sweep runs before Score's window check.
   double score =
@@ -237,8 +209,7 @@ void HeebJoinPolicy::ShardScoreCachedBatch(const CandidateBatch& batch,
                                            ShardScratch* scratch,
                                            double* score_scratch,
                                            ShardKey* out) {
-  if (options_.mode != Mode::kTimeIncremental &&
-      options_.mode != Mode::kValueIncremental) {
+  if (!incremental()) {
     ScoredPolicy::ShardScoreCachedBatch(batch, ctx, scratch, score_scratch,
                                         out);
     return;
@@ -255,23 +226,8 @@ void HeebJoinPolicy::ShardScoreCachedBatch(const CandidateBatch& batch,
     CachedState* state = FindState(batch.ids[i]);
     SJOIN_CHECK_MSG(state != nullptr,
                     "cached tuple without incremental HEEB state");
-    if (shard_gap_ > 0) {
-      state->updates_since_refresh += shard_gap_;
-      if (state->updates_since_refresh >= options_.refresh_interval) {
-        SJOIN_CHECK_EQ(predictions_time_, ctx.now);
-        Tuple proxy{0, state->side, state->value, state->arrival};
-        state->h = DirectScore(proxy, ctx);
-        state->updates_since_refresh = 0;
-      } else {
-        const auto& pmfs = advance_pmfs_[SideIndex(state->side)];
-        for (Time step = 1; step <= shard_gap_; ++step) {
-          double p =
-              pmfs[static_cast<std::size_t>(step - 1)].Prob(state->value);
-          state->h = shard_e_ * state->h - p;
-          if (state->h < 0.0) state->h = 0.0;
-        }
-      }
-    }
+    state->candidate_at = ctx.now;
+    Advance(*state, ctx);
     double score =
         windowed && ctx.now - batch.arrivals[i] > w ? 0.0 : state->h;
     out[i] = ShardKey{score, batch.arrivals[i],
@@ -503,11 +459,14 @@ double HeebJoinPolicy::Score(const Tuple& tuple, const PolicyContext& ctx) {
     }
     case Mode::kTimeIncremental:
     case Mode::kValueIncremental: {
-      if (const CachedState* state = FindState(tuple.id)) return state->h;
+      if (CachedState* state = FindState(tuple.id)) {
+        state->candidate_at = ctx.now;
+        return state->h;
+      }
       double h = options_.mode == Mode::kTimeIncremental
                      ? DirectScore(tuple, ctx)
                      : ValueIncrementalScore(tuple, ctx);
-      InsertState(tuple, h);
+      InsertState(tuple, h, ctx.now);
       return h;
     }
   }
@@ -517,39 +476,29 @@ double HeebJoinPolicy::Score(const Tuple& tuple, const PolicyContext& ctx) {
 void HeebJoinPolicy::ShardEndStep(const PolicyContext& ctx,
                                   const std::vector<TupleId>& retained,
                                   const std::vector<TupleId>& evicted) {
-  (void)ctx;
-  (void)retained;
-  if (options_.mode != Mode::kTimeIncremental &&
-      options_.mode != Mode::kValueIncremental) {
-    return;
-  }
-  // Slot state holds exactly the candidate ids at this point (last step's
-  // retained set plus this step's scored arrivals), so erasing the evicted
-  // ids leaves precisely the retained ones — the same post-state EndStep
-  // reaches by walking every slot against a retained hash set.
+  if (!incremental()) return;
+  // When the cache is the retained list this policy returned last step,
+  // slot state holds exactly the candidate ids at this point (that list
+  // plus this step's scored arrivals), so erasing the evicted ids —
+  // arrivals that were scored but not admitted included — leaves precisely
+  // the retained ones, in O(evicted).
   for (TupleId id : evicted) EraseState(id);
-}
-
-void HeebJoinPolicy::EndStep(const PolicyContext& ctx,
-                             const std::vector<TupleId>& retained) {
-  (void)ctx;
-  if (options_.mode != Mode::kTimeIncremental &&
-      options_.mode != Mode::kValueIncremental) {
-    return;
-  }
-  // Drop state for evicted tuples in place — no per-step rebuild. This
-  // also erases entries created for arrivals that were scored but never
-  // retained, so they cannot accumulate across steps. EraseState swaps
-  // the last slot into the hole, so the swapped-in slot is re-examined
-  // before advancing.
-  retained_scratch_.clear();
-  retained_scratch_.insert(retained.begin(), retained.end());
-  for (std::size_t i = 0; i < slots_.size();) {
-    if (retained_scratch_.contains(slots_[i].id)) {
-      ++i;
-    } else {
-      EraseState(slots_[i].id);
+  if (slots_.size() != retained.size()) {
+    // The caller committed some other cache: a wrapper decided earlier
+    // steps itself, or a lockstep harness follows another policy's
+    // choices. Drop the state of tuples that were not candidates now.
+    for (std::size_t i = 0; i < slots_.size();) {
+      if (slots_[i].candidate_at == ctx.now) {
+        ++i;
+      } else {
+        EraseState(slots_[i].id);
+      }
     }
+  }
+  if constexpr (kValidationEnabled) {
+    SJOIN_VALIDATE_MSG(slots_.size() == retained.size(),
+                       "incremental HEEB state differs from the retained set");
+    for (TupleId id : retained) SJOIN_VALIDATE(FindState(id) != nullptr);
   }
 }
 

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sjoin/core/lifetime_fn.h"
@@ -79,15 +78,19 @@ class HeebJoinPolicy final : public ScoredPolicy {
 
   const char* name() const override { return "HEEB"; }
 
+  /// Incremental modes: whether the policy holds H for `id`, and for how
+  /// many tuples. Between steps that is exactly the retained set.
+  bool HasState(TupleId id) const { return slot_index_.contains(id); }
+  std::size_t num_states() const { return slots_.size(); }
+
   // Sharded execution (see scored_policy.h). All four modes are
-  // score-decomposable. The incremental modes replace BeginStep's eager
-  // Corollary 3 sweep with a lazy per-tuple advance inside the parallel
-  // scoring phase, driven by per-step partner pmfs that ShardBeginStep
-  // builds once and shares across every cached tuple of a side — the
-  // serial sweep re-predicts that same pmf once per tuple, which is the
-  // dominant cost the sharded hot path removes. Results are bit-identical
-  // (PredictInto matches Predict bitwise; the advance arithmetic is
-  // unchanged).
+  // score-decomposable. Both engines share one prologue: ShardBeginStep
+  // builds the per-step partner pmfs once per (side, elapsed step) and
+  // every cached tuple of that side reads its Corollary 3 advance from
+  // them. The serial BeginStep then advances all entries in one sweep;
+  // the sharded step advances each lazily as it scores it. Either way a
+  // step costs 2·horizon + 2·gap predictions, independent of the cache
+  // size, and the advance arithmetic is the same.
   bool ShardBeginStep(const PolicyContext& ctx,
                       std::vector<TupleId>* decided) override;
   std::optional<ShardKey> ShardScoreCached(const Tuple& tuple,
@@ -101,8 +104,10 @@ class HeebJoinPolicy final : public ScoredPolicy {
   void ShardScoreCachedBatch(const CandidateBatch& batch,
                              const PolicyContext& ctx, ShardScratch* scratch,
                              double* score_scratch, ShardKey* out) override;
-  /// Drops incremental state for exactly the evicted ids — O(evicted),
-  /// where the serial EndStep pays an O(cache) retained-set walk.
+  /// The epilogue of both engines: drops incremental state for exactly the
+  /// evicted ids, in O(evicted). Should the caller have committed a cache
+  /// other than the retained list, an O(k) walk also drops the state of
+  /// tuples that were not candidates this step.
   void ShardEndStep(const PolicyContext& ctx,
                     const std::vector<TupleId>& retained,
                     const std::vector<TupleId>& evicted) override;
@@ -121,10 +126,12 @@ class HeebJoinPolicy final : public ScoredPolicy {
   /// defines the scoring order.
   void ScoreBatchInto(const CandidateBatch& batch, const PolicyContext& ctx,
                       double* out) override;
-  void EndStep(const PolicyContext& ctx,
-               const std::vector<TupleId>& retained) override;
 
  private:
+  bool incremental() const {
+    return options_.mode == Mode::kTimeIncremental ||
+           options_.mode == Mode::kValueIncremental;
+  }
   const StochasticProcess* process(StreamSide side) const {
     return side == StreamSide::kR ? r_process_ : s_process_;
   }
@@ -198,22 +205,23 @@ class HeebJoinPolicy final : public ScoredPolicy {
     Value value = 0;
     Time arrival = 0;
     Time updates_since_refresh = 0;
+    Time candidate_at = 0;  // The last step that scored this tuple.
   };
   CachedState* FindState(TupleId id);
-  void InsertState(const Tuple& tuple, double h);
+  void InsertState(const Tuple& tuple, double h, Time now);
   void EraseState(TupleId id);
+  /// Corollary 3 advance of one entry from the previous decision to now,
+  /// or its re-anchor once it crosses the refresh interval.
+  void Advance(CachedState& state, const PolicyContext& ctx);
   std::vector<CachedState> slots_;
   std::unordered_map<TupleId, std::size_t> slot_index_;
   Time last_step_time_ = -1;
-  // EndStep scratch (reused across steps to avoid reallocation).
-  std::unordered_set<TupleId> retained_scratch_;
 
-  // Sharded incremental advance: elapsed steps since the previous decision
-  // and the shared per-(cached side, elapsed step) partner pmfs the lazy
-  // Corollary 3 advance reads. Written in ShardBeginStep (serial), read
-  // only during the parallel scoring phase.
-  Time shard_gap_ = 0;
-  double shard_e_ = 1.0;
+  // Incremental advance: elapsed steps since the previous decision and the
+  // shared per-(cached side, elapsed step) partner pmfs Advance reads.
+  // Written in ShardBeginStep, read-only while the step scores.
+  Time advance_gap_ = 0;
+  double advance_e_ = 1.0;
   std::vector<DiscreteDistribution> advance_pmfs_[2];
 
   // kWalkTable: per-side lookup tables (indexed by the side of the cached

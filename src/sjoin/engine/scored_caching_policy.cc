@@ -2,20 +2,14 @@
 
 #include <algorithm>
 
-#include "sjoin/common/check.h"
 #include "sjoin/engine/rank_order.h"
+#include "sjoin/engine/ranked_select.h"
 
 namespace sjoin {
 
 std::vector<Value> ScoredCachingPolicy::SelectRetained(
     const CachingContext& ctx) {
-  struct Candidate {
-    double score;
-    bool is_referenced;
-    Value value;
-  };
-  std::vector<Candidate> candidates;
-  candidates.reserve(ctx.cached->size() + 1);
+  candidates_.clear();
   // Observer branch hoisted out of the loop, as in ScoredPolicy: observer
   // runs stay on the scalar path, observer-free runs use the batch kernel
   // when the subclass has one.
@@ -23,12 +17,12 @@ std::vector<Value> ScoredCachingPolicy::SelectRetained(
     for (Value v : *ctx.cached) {
       double score = Score(v, ctx);
       score_observer_(v, score);
-      candidates.push_back({score, v == ctx.referenced, v});
+      candidates_.push_back({score, v == ctx.referenced, v});
     }
     if (!ctx.hit) {
       double score = Score(ctx.referenced, ctx);
       score_observer_(ctx.referenced, score);
-      candidates.push_back({score, true, ctx.referenced});
+      candidates_.push_back({score, true, ctx.referenced});
     }
   } else if (BatchScorable()) {
     // Values-only SoA batch: cached values in cache order, then the
@@ -41,41 +35,35 @@ std::vector<Value> ScoredCachingPolicy::SelectRetained(
     batch.values = batch_values_.data();
     ScoreBatchInto(batch, ctx, batch_scores_.data());
     for (std::size_t i = 0; i < ctx.cached->size(); ++i) {
-      candidates.push_back(
+      candidates_.push_back(
           {batch_scores_[i], batch_values_[i] == ctx.referenced,
            batch_values_[i]});
     }
     if (!ctx.hit) {
-      candidates.push_back({batch_scores_.back(), true, ctx.referenced});
+      candidates_.push_back({batch_scores_.back(), true, ctx.referenced});
     }
   } else {
     for (Value v : *ctx.cached) {
-      candidates.push_back({Score(v, ctx), v == ctx.referenced, v});
+      candidates_.push_back({Score(v, ctx), v == ctx.referenced, v});
     }
     if (!ctx.hit) {
-      candidates.push_back({Score(ctx.referenced, ctx), true, ctx.referenced});
+      candidates_.push_back({Score(ctx.referenced, ctx), true, ctx.referenced});
     }
   }
-  auto better = [](const Candidate& a, const Candidate& b) {
-    // rank_order.h with (major, minor) = (is-referenced, value),
-    // the ShardKey mapping of the Theorem 1 reduction.
-    return RankOrderBetter(a.score, static_cast<int>(a.is_referenced),
-                           a.value, b.score,
-                           static_cast<int>(b.is_referenced), b.value);
-  };
-  // nth_element + prefix sort: the order is strict and total (values are
-  // unique within cached ∪ {referenced}), so the sorted prefix equals the
-  // former full sort's prefix.
-  std::size_t keep = std::min(ctx.capacity, candidates.size());
-  if (keep < candidates.size()) {
-    std::nth_element(candidates.begin(), candidates.begin() + keep,
-                     candidates.end(), better);
-  }
-  std::sort(candidates.begin(), candidates.begin() + keep, better);
+  // rank_order.h with (major, minor) = (is-referenced, value), the
+  // ShardKey mapping of the Theorem 1 reduction. The order is strict and
+  // total (values are unique within cached ∪ {referenced}).
+  const std::size_t keep = std::min(ctx.capacity, candidates_.size());
+  RankTopK(candidates_.begin(), candidates_.end(), keep,
+           [](const Candidate& a, const Candidate& b) {
+             return RankOrderBetter(
+                 a.score, static_cast<int>(a.is_referenced), a.value,
+                 b.score, static_cast<int>(b.is_referenced), b.value);
+           });
   std::vector<Value> retained;
   retained.reserve(keep);
   for (std::size_t i = 0; i < keep; ++i) {
-    retained.push_back(candidates[i].value);
+    retained.push_back(candidates_[i].value);
   }
   return retained;
 }

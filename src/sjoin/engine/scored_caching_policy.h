@@ -60,9 +60,17 @@ class ScoredCachingPolicy : public CachingPolicy {
                               const CachingContext& ctx, double* out);
 
  private:
+  struct Candidate {
+    double score;
+    bool is_referenced;
+    Value value;
+  };
+
   ScoreObserver score_observer_;
-  // Per-call scratch reused across SelectRetained calls: the candidate
-  // value lanes (cached ∪ {referenced on a miss}) and their scores.
+  // Per-call scratch reused across SelectRetained calls: the ranked
+  // candidates, the candidate value lanes (cached ∪ {referenced on a
+  // miss}) and their scores.
+  std::vector<Candidate> candidates_;
   std::vector<Value> batch_values_;
   std::vector<double> batch_scores_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sjoin/common/check.h"
-#include "sjoin/engine/rank_order.h"
 
 namespace sjoin {
 
@@ -46,22 +45,21 @@ std::vector<TupleId> ScoredPolicy::SelectRetained(const PolicyContext& ctx) {
       ranked_scratch_.push_back({Score(t, ctx), t.arrival, t.id});
     }
   }
-  // Top-k selection: partition the best `keep` to the front, sort only
-  // that prefix. The rank order is strict and total (ids are unique), so
-  // the prefix is exactly what the former full sort produced.
-  std::size_t keep = std::min(ctx.capacity, ranked_scratch_.size());
-  if (keep < ranked_scratch_.size()) {
-    std::nth_element(ranked_scratch_.begin(), ranked_scratch_.begin() + keep,
-                     ranked_scratch_.end(), RankedTupleBetter);
-  }
-  std::sort(ranked_scratch_.begin(), ranked_scratch_.begin() + keep,
-            RankedTupleBetter);
+  // Top-k selection. The engine commits the cache in retained order, so
+  // the cached candidates arrive nearly ranked and RankTopK's insertion
+  // pass settles them in O(n); the suffix it leaves is the evicted set.
+  const std::size_t keep = std::min(ctx.capacity, ranked_scratch_.size());
+  RankTuples(ranked_scratch_, keep);
   std::vector<TupleId> retained;
   retained.reserve(keep);
   for (std::size_t i = 0; i < keep; ++i) {
     retained.push_back(ranked_scratch_[i].id);
   }
-  EndStep(ctx, retained);
+  evicted_scratch_.clear();
+  for (std::size_t i = keep; i < ranked_scratch_.size(); ++i) {
+    evicted_scratch_.push_back(ranked_scratch_[i].id);
+  }
+  ShardEndStep(ctx, retained, evicted_scratch_);
   return retained;
 }
 
@@ -91,8 +89,9 @@ std::optional<ShardKey> ScoredPolicy::ShardScoreArrival(
 void ScoredPolicy::ShardEndStep(const PolicyContext& ctx,
                                 const std::vector<TupleId>& retained,
                                 const std::vector<TupleId>& evicted) {
+  (void)ctx;
+  (void)retained;
   (void)evicted;
-  EndStep(ctx, retained);
 }
 
 void ScoredPolicy::ShardScoreCachedBatch(const CandidateBatch& batch,

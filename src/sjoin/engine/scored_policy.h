@@ -24,11 +24,16 @@ namespace sjoin {
 ///
 /// Score-ranked selection is exactly a global top-k, so it decomposes over
 /// value-domain shards: this base also implements PolicyShardScoring, with
-/// defaults that express a policy whose Score() is read-only between
-/// BeginStep() and EndStep(). Subclasses opt in by overriding
-/// ShardScorable() to return true once their Score() is safe to call
-/// concurrently for distinct cached tuples; stateful subclasses (HEEB's
-/// incremental modes) additionally override the shard hooks they need.
+/// defaults that express a policy whose Score() is read-only after
+/// BeginStep(). Subclasses opt in by overriding ShardScorable() to return
+/// true once their Score() is safe to call concurrently for distinct cached
+/// tuples; stateful subclasses (HEEB's incremental modes) additionally
+/// override the shard hooks they need.
+///
+/// Both engines share one prologue and one epilogue: SelectRetained runs
+/// BeginStep(), scores, ranks with RankTopK, and hands the ranked suffix —
+/// the evicted ids, arrivals that were not admitted included — to the same
+/// ShardEndStep() the sharded engine calls after its merge.
 class ScoredPolicy : public ReplacementPolicy, public PolicyShardScoring {
  public:
   std::vector<TupleId> SelectRetained(const PolicyContext& ctx) final;
@@ -51,8 +56,9 @@ class ScoredPolicy : public ReplacementPolicy, public PolicyShardScoring {
     score_observer_ = std::move(observer);
   }
 
-  // PolicyShardScoring. The defaults delegate to BeginStep/Score/EndStep
-  // and map the merge key to (score, arrival, id) — the serial sort order.
+  // PolicyShardScoring. The defaults delegate to BeginStep/Score, map the
+  // merge key to (score, arrival, id) — the serial rank order — and keep no
+  // per-tuple state for ShardEndStep to drop.
   bool ShardBeginStep(const PolicyContext& ctx,
                       std::vector<TupleId>* decided) override;
   std::optional<ShardKey> ShardScoreCached(const Tuple& tuple,
@@ -99,20 +105,13 @@ class ScoredPolicy : public ReplacementPolicy, public PolicyShardScoring {
   virtual void ScoreBatchInto(const CandidateBatch& batch,
                               const PolicyContext& ctx, double* out);
 
-  /// Called with the final retained set; lets subclasses drop state for
-  /// evicted tuples.
-  virtual void EndStep(const PolicyContext& ctx,
-                       const std::vector<TupleId>& retained) {
-    (void)ctx;
-    (void)retained;
-  }
-
  private:
   ScoreObserver score_observer_;
   // Per-step scratch reused across SelectRetained calls so the hot loop
   // stays allocation-free after warm-up.
   std::vector<RankedTuple> ranked_scratch_;
   std::vector<double> score_scratch_;
+  std::vector<TupleId> evicted_scratch_;
 };
 
 }  // namespace sjoin

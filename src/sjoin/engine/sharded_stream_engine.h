@@ -154,10 +154,10 @@ class ShardedStreamEngine {
   void ProcessShard(const EngineContext& ctx, EngineShardScoring& scoring,
                     std::size_t shard);
 
-  /// Sorts a scored run best-first. Shard runs enter nearly sorted (the
-  /// commit rebuilds shard caches in merged order, and score advancement
-  /// rarely reorders neighbours), so small runs use insertion sort;
-  /// larger runs take introsort. Any comparison sort yields the same
+  /// Sorts a scored run best-first with RankTopK. Shard runs enter nearly
+  /// sorted (the commit rebuilds shard caches in merged order, and score
+  /// advancement rarely reorders neighbours), so its insertion pass
+  /// usually finishes within budget. Any comparison sort yields the same
   /// unique order — the keys are a strict total order.
   static void SortRun(ScoredEntry* run, std::size_t size);
 

@@ -151,13 +151,12 @@ std::vector<TupleId> EdgeBudgetPolicy::SelectRetained(
   // score. Every ordering here is the strict (score, arrival, id) order
   // from rank_order.h, so the retained set is a total function of the
   // scores.
-  const auto better = RankedTupleBetter;
   claimed_.clear();
   std::vector<TupleId> retained;
   retained.reserve(ctx.capacity);
   for (std::size_t e = 0; e < edges.size(); ++e) {
     auto& ranked = edge_ranked_[e];
-    std::sort(ranked.begin(), ranked.end(), better);
+    RankTuples(ranked, ranked.size());
     std::size_t taken = 0;
     for (const RankedTuple& entry : ranked) {
       if (taken >= budgets_[e] || retained.size() >= ctx.capacity) break;
@@ -166,7 +165,7 @@ std::vector<TupleId> EdgeBudgetPolicy::SelectRetained(
       ++taken;
     }
   }
-  std::sort(total_ranked_.begin(), total_ranked_.end(), better);
+  RankTuples(total_ranked_, total_ranked_.size());
   for (const RankedTuple& entry : total_ranked_) {
     if (retained.size() >= ctx.capacity) break;
     if (!claimed_.insert(entry.id).second) continue;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -269,6 +271,148 @@ TEST(HeebJoinPolicyTest, BeatsProbOnTrendingStreams) {
     prob_total += sim.Run(pair.r, pair.s, prob).total_results;
   }
   EXPECT_GT(heeb_total, prob_total);
+}
+
+
+// Forwards to a process and counts every Predict/PredictInto call.
+class CountingProcess final : public StochasticProcess {
+ public:
+  explicit CountingProcess(const StochasticProcess* inner) : inner_(inner) {}
+  DiscreteDistribution Predict(const StreamHistory& history,
+                               Time t) const override {
+    ++calls;
+    return inner_->Predict(history, t);
+  }
+  void PredictInto(const StreamHistory& history, Time t,
+                   DiscreteDistribution* out) const override {
+    ++calls;
+    inner_->PredictInto(history, t, out);
+  }
+  Value SampleNext(const StreamHistory& history, Rng& rng) const override {
+    return inner_->SampleNext(history, rng);
+  }
+  bool IsIndependent() const override { return inner_->IsIndependent(); }
+  std::unique_ptr<StochasticProcess> Clone() const override {
+    return inner_->Clone();
+  }
+
+  mutable std::int64_t calls = 0;
+
+ private:
+  const StochasticProcess* inner_;
+};
+
+// Runs the wrapped HEEB through the serial engine and audits every step:
+// the predictions it made, and its incremental state against the ids it
+// retained.
+class StepAuditPolicy final : public ReplacementPolicy {
+ public:
+  StepAuditPolicy(HeebJoinPolicy* heeb, const CountingProcess* r,
+                  const CountingProcess* s, Time horizon)
+      : heeb_(heeb), r_(r), s_(s), horizon_(horizon) {}
+
+  std::vector<TupleId> SelectRetained(const PolicyContext& ctx) override {
+    const std::int64_t before = r_->calls + s_->calls;
+    std::vector<TupleId> retained = heeb_->SelectRetained(ctx);
+    const Time gap = last_now_ >= 0 ? ctx.now - last_now_ : 0;
+    last_now_ = ctx.now;
+    EXPECT_EQ(r_->calls + s_->calls - before, 2 * horizon_ + 2 * gap)
+        << "step " << ctx.now << " with " << ctx.cached->size()
+        << " cached tuples";
+    EXPECT_EQ(heeb_->num_states(), retained.size()) << "step " << ctx.now;
+    for (TupleId id : retained) {
+      EXPECT_TRUE(heeb_->HasState(id)) << "step " << ctx.now;
+    }
+    max_cached = std::max(max_cached, ctx.cached->size());
+    return retained;
+  }
+  bool WantsCandidateBatch() const override {
+    return heeb_->WantsCandidateBatch();
+  }
+  const char* name() const override { return "HEEB-audit"; }
+
+  std::size_t max_cached = 0;
+
+ private:
+  HeebJoinPolicy* heeb_;
+  const CountingProcess* r_;
+  const CountingProcess* s_;
+  Time horizon_;
+  Time last_now_ = -1;
+};
+
+TEST(HeebJoinPolicyTest, TimeIncrementalStepPredictsIndependentOfCacheSize) {
+  // The paper's TOWER (Section 6.1). A serial kTimeIncremental step builds
+  // the arrivals' horizon-many pmfs per side plus one shared Corollary 3
+  // pmf per side and elapsed step — never one per cached tuple — and its
+  // epilogue leaves state for exactly the retained ids.
+  LinearTrendProcess tower_r(
+      1.0, -1.0,
+      DiscreteDistribution::TruncatedDiscretizedNormal(0.0, 1.0, -10, 10));
+  LinearTrendProcess tower_s(
+      1.0, 0.0,
+      DiscreteDistribution::TruncatedDiscretizedNormal(0.0, 2.0, -15, 15));
+  Rng rng(21);
+  auto pair = SampleStreamPair(tower_r, tower_s, 700, rng);
+  for (std::size_t capacity : {std::size_t{20}, std::size_t{400}}) {
+    CountingProcess r(&tower_r);
+    CountingProcess s(&tower_s);
+    HeebJoinPolicy::Options options;
+    options.mode = HeebJoinPolicy::Mode::kTimeIncremental;
+    options.alpha = ExpLifetime::AlphaForAverageLifetime(12.5);
+    options.horizon = 150;
+    HeebJoinPolicy heeb(&r, &s, options);
+    StepAuditPolicy audit(&heeb, &r, &s, options.horizon);
+    JoinSimulator sim({.capacity = capacity, .warmup = 0});
+    sim.Run(pair.r, pair.s, audit);
+    // The large cache must actually fill for the count to mean anything.
+    EXPECT_GE(audit.max_cached, capacity * 3 / 4) << "capacity " << capacity;
+  }
+}
+
+
+// Commits a cache other than HEEB's own choice on odd steps (the first
+// `capacity` candidates in candidate order), the way a wrapper policy or a
+// lockstep harness may, and checks HEEB's state after every step.
+class OverrulingPolicy final : public ReplacementPolicy {
+ public:
+  explicit OverrulingPolicy(HeebJoinPolicy* heeb) : heeb_(heeb) {}
+
+  std::vector<TupleId> SelectRetained(const PolicyContext& ctx) override {
+    std::vector<TupleId> retained = heeb_->SelectRetained(ctx);
+    EXPECT_EQ(heeb_->num_states(), retained.size()) << "step " << ctx.now;
+    for (TupleId id : retained) {
+      EXPECT_TRUE(heeb_->HasState(id)) << "step " << ctx.now;
+    }
+    if (ctx.now % 2 == 0) return retained;
+    std::vector<TupleId> overruled;
+    for (const auto* tuples : {ctx.cached, ctx.arrivals}) {
+      for (const Tuple& tuple : *tuples) {
+        if (overruled.size() < ctx.capacity) overruled.push_back(tuple.id);
+      }
+    }
+    return overruled;
+  }
+  const char* name() const override { return "HEEB-overruled"; }
+
+ private:
+  HeebJoinPolicy* heeb_;
+};
+
+TEST(HeebJoinPolicyTest, IncrementalStateFollowsAnOverruledCache) {
+  TrendConfig config;
+  Rng rng(23);
+  auto pair = SampleStreamPair(config.r, config.s, 300, rng);
+  for (HeebJoinPolicy::Mode mode : {HeebJoinPolicy::Mode::kTimeIncremental,
+                                    HeebJoinPolicy::Mode::kValueIncremental}) {
+    HeebJoinPolicy::Options options;
+    options.mode = mode;
+    options.alpha = ExpLifetime::AlphaForAverageLifetime(12.0);
+    HeebJoinPolicy heeb(&config.r, &config.s, options);
+    OverrulingPolicy overruling(&heeb);
+    JoinSimulator sim({.capacity = 10, .warmup = 0});
+    sim.Run(pair.r, pair.s, overruling);
+  }
 }
 
 }  // namespace
