@@ -16,27 +16,12 @@ FlowExpectPolicy::FlowExpectPolicy(const StochasticProcess* r_process,
     : r_process_(r_process), s_process_(s_process), options_(options) {
   SJOIN_CHECK(r_process != nullptr && s_process != nullptr);
   SJOIN_CHECK_GE(options_.lookahead, 1);
+  ring_ = PredictionRing({r_process_, s_process_}, options_.lookahead);
 }
 
-void FlowExpectPolicy::Reset() { templates_.clear(); }
-
-void FlowExpectPolicy::ComputePredictions(const PolicyContext& ctx) {
-  // Predictive pmfs pred_[side][j] for X^side_{t0+j}, j = 1..l, written
-  // into retained buffers (PredictInto is bit-identical to Predict).
-  Time t0 = ctx.now;
-  Time l = options_.lookahead;
-  for (StreamSide side : {StreamSide::kR, StreamSide::kS}) {
-    const StochasticProcess* process =
-        side == StreamSide::kR ? r_process_ : s_process_;
-    const StreamHistory* history =
-        side == StreamSide::kR ? ctx.history_r : ctx.history_s;
-    auto& out = pred_[SideIndex(side)];
-    out.resize(static_cast<std::size_t>(l) + 1);
-    for (Time j = 1; j <= l; ++j) {
-      process->PredictInto(*history, t0 + j,
-                           &out[static_cast<std::size_t>(j)]);
-    }
-  }
+void FlowExpectPolicy::Reset() {
+  templates_.clear();
+  ring_.Reset();
 }
 
 void FlowExpectPolicy::ComputeBenefits(const PolicyContext& ctx) {
@@ -47,9 +32,9 @@ void FlowExpectPolicy::ComputeBenefits(const PolicyContext& ctx) {
   benefits_.resize(candidates_.size() * static_cast<std::size_t>(l));
   for (std::size_t c = 0; c < candidates_.size(); ++c) {
     const Tuple& tuple = candidates_[c];
-    const auto& partner = pred_[SideIndex(Partner(tuple.side))];
+    const PmfView* partner = ring_.Ahead(SideIndex(Partner(tuple.side)));
     for (Time j = 0; j < l; ++j) {
-      double p = partner[static_cast<std::size_t>(j + 1)].Prob(tuple.value);
+      double p = partner[j].Prob(tuple.value);
       if (ctx.window.has_value() &&
           (t0 + j + 1) - tuple.arrival > *ctx.window) {
         p = 0.0;  // Sliding-window semantics: expired tuples join nothing.
@@ -220,7 +205,9 @@ std::vector<TupleId> FlowExpectPolicy::SelectRetained(
   }
 
   Time l = options_.lookahead;
-  ComputePredictions(ctx);
+  // Predictive pmfs of X^side_{t0+j}, j = 1..l.
+  const StreamHistory* histories[2] = {ctx.history_r, ctx.history_s};
+  ring_.Advance(ctx.now, histories);
   ComputeBenefits(ctx);
 
   if (options_.dominance_prune) {
@@ -243,10 +230,8 @@ std::vector<TupleId> FlowExpectPolicy::SelectRetained(
     if (ctx.window.has_value() && (j + 1) - j_arrived > *ctx.window) {
       return 0.0;
     }
-    const auto& own = pred_[SideIndex(side)];
-    const auto& partner = pred_[SideIndex(Partner(side))];
-    return own[static_cast<std::size_t>(j_arrived)].OverlapProb(
-        partner[static_cast<std::size_t>(j + 1)]);
+    return ring_.At(SideIndex(side), ctx.now + j_arrived)
+        .OverlapProb(ring_.At(SideIndex(Partner(side)), ctx.now + j + 1));
   };
 
   // Rewrite benefit-arc costs in the same slice-major order the handles

@@ -11,6 +11,7 @@
 #include "sjoin/flow/flow_graph.h"
 #include "sjoin/flow/min_cost_flow.h"
 #include "sjoin/stochastic/discrete_distribution.h"
+#include "sjoin/stochastic/prediction_ring.h"
 #include "sjoin/stochastic/process.h"
 
 /// \file
@@ -30,7 +31,8 @@
 /// warm: the slice graph for a fixed (candidate count, lookahead) shape is
 /// built once and only its benefit-arc costs are rewritten each step, a
 /// persistent MinCostFlowSolver reuses its workspaces and cached
-/// topological order, predictions go through PredictInto, and an optional
+/// topological order, predictions live in a PredictionRing (one new pmf
+/// per step and side on independent streams), and an optional
 /// Theorem 3 dominance prefilter shrinks (often eliminates) the solve.
 /// Every fast path is differentially tested against the naive
 /// rebuild-everything oracle in src/sjoin/testing/naive_flow_expect.h —
@@ -70,8 +72,8 @@ class FlowExpectPolicy final : public ReplacementPolicy {
 
   std::vector<TupleId> SelectRetained(const PolicyContext& ctx) override;
 
-  /// Drops the cached graph templates (they carry no numeric state, so
-  /// this only affects memory, never decisions).
+  /// Drops the cached graph templates and the prediction ring (neither
+  /// carries numeric state across runs, so this never changes a decision).
   void Reset() override;
 
   const char* name() const override { return "FLOWEXPECT"; }
@@ -90,7 +92,6 @@ class FlowExpectPolicy final : public ReplacementPolicy {
     bool solved_before = false;
   };
 
-  void ComputePredictions(const PolicyContext& ctx);
   void ComputeBenefits(const PolicyContext& ctx);
   void PruneDominated(const PolicyContext& ctx);
   GraphTemplate& TemplateFor(int n_c);
@@ -101,7 +102,7 @@ class FlowExpectPolicy final : public ReplacementPolicy {
 
   // Per-step buffers, reused across calls.
   std::vector<Tuple> candidates_;
-  std::vector<DiscreteDistribution> pred_[2];
+  PredictionRing ring_;  // Streams R = 0, S = 1; horizon = lookahead.
   std::vector<double> benefits_;  // benefits_[c * lookahead + j].
   std::vector<TabulatedEcb> curves_;
   std::vector<const EcbFn*> curve_ptrs_;

@@ -14,9 +14,12 @@
 /// the expected total benefit of caching x, weighting the benefit earned
 /// at each future step by the estimated probability that x is still cached
 /// then. Tuples with the lowest H are discarded. These free functions give
-/// the definitional computations; the policies in heeb_policy.h /
-/// heeb_caching_policy.h apply them with the efficient implementations of
-/// Section 4.4.
+/// the definitional computations and predict every pmf they read, one
+/// Predict per Δt. The policies in heeb_join_policy.h /
+/// heeb_caching_policy.h apply Section 4.4's efficient implementations
+/// instead: they sum the same dt-ascending terms over the pmfs of a
+/// PredictionRing (stochastic/prediction_ring.h), which on independent
+/// streams predicts one new time per step rather than horizon-many.
 
 namespace sjoin {
 

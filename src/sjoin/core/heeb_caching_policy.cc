@@ -28,6 +28,10 @@ HeebCachingPolicy::HeebCachingPolicy(const StochasticProcess* reference,
                       "reference variables");
       SJOIN_CHECK_MSG(options_.lifetime == nullptr,
                       "incremental caching HEEB is defined for L_exp only");
+      ring_ = PredictionRing({reference_}, horizon_);
+      for (Time dt = 1; dt <= horizon_; ++dt) {
+        lifetime_flat_.push_back(exp_lifetime_.At(dt));
+      }
       break;
     case Mode::kWalkTable: {
       const auto* walk = dynamic_cast<const RandomWalkProcess*>(reference_);
@@ -58,10 +62,24 @@ HeebCachingPolicy::HeebCachingPolicy(const StochasticProcess* reference,
 void HeebCachingPolicy::Reset() {
   cached_h_.clear();
   state_time_ = -1;
+  ring_.Reset();
 }
 
 double HeebCachingPolicy::DirectScore(Value v,
                                       const CachingContext& ctx) const {
+  if (options_.mode == Mode::kTimeIncremental) {
+    // CachingHeeb's loop over the ring's views and the lifetime table.
+    SJOIN_CHECK_EQ(ring_.now(), ctx.now);
+    const PmfView* ahead = ring_.Ahead(0);
+    double h = 0.0;
+    double survive = 1.0;
+    for (std::size_t k = 0; k < lifetime_flat_.size(); ++k) {
+      const double p = ahead[k].Prob(v);
+      h += survive * p * lifetime_flat_[k];
+      survive *= 1.0 - p;
+    }
+    return h;
+  }
   const LifetimeFn& lifetime =
       options_.lifetime != nullptr
           ? *options_.lifetime
@@ -116,11 +134,22 @@ double HeebCachingPolicy::Score(Value v, const CachingContext& ctx) {
     case Mode::kEvaluator:
       return options_.evaluator(v, ctx.history->back());
     case Mode::kTimeIncremental: {
+      const StreamHistory* histories[1] = {ctx.history};
+      ring_.Advance(ctx.now, histories);
       // Corollary 4: advance the stored H values to the current time:
       // H_t = (e^{1/alpha} H_{t-1} - P_t) / (1 - P_t), P_t = Pr{X_t = v}.
       if (state_time_ >= 0 && state_time_ < ctx.now) {
         Time gap = ctx.now - state_time_;
         double e = std::exp(1.0 / options_.alpha);
+        advance_pmfs_.resize(static_cast<std::size_t>(gap - 1));
+        advance_views_.clear();
+        for (Time t = state_time_ + 1; t < ctx.now; ++t) {
+          DiscreteDistribution& pmf =
+              advance_pmfs_[static_cast<std::size_t>(t - state_time_ - 1)];
+          reference_->PredictInto(*ctx.history, t, &pmf);
+          advance_views_.push_back(PmfView::Of(pmf));
+        }
+        advance_views_.push_back(PmfView::Of(ring_.At(0, ctx.now)));
         for (auto& [value, state] : cached_h_) {
           state.updates_since_refresh += gap;
           if (state.updates_since_refresh >= options_.refresh_interval) {
@@ -131,8 +160,8 @@ double HeebCachingPolicy::Score(Value v, const CachingContext& ctx) {
             continue;
           }
           bool reanchored = false;
-          for (Time t = state_time_ + 1; t <= ctx.now; ++t) {
-            double p = reference_->Predict(*ctx.history, t).Prob(value);
+          for (const PmfView& pmf : advance_views_) {
+            double p = pmf.Prob(value);
             if (p >= 1.0 - 1e-9) {
               // Deterministic reference (p = 1): the recurrence divides by
               // zero; recompute directly instead.

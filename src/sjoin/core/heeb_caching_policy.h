@@ -8,6 +8,7 @@
 #include "sjoin/core/lifetime_fn.h"
 #include "sjoin/core/precompute.h"
 #include "sjoin/engine/scored_caching_policy.h"
+#include "sjoin/stochastic/prediction_ring.h"
 #include "sjoin/stochastic/process.h"
 
 /// \file
@@ -88,6 +89,10 @@ class HeebCachingPolicy final : public ScoredCachingPolicy {
                       double* out) override;
 
  private:
+  /// Direct truncated-sum H. kTimeIncremental reads the ring (advanced to
+  /// ctx.now by Score) and the lifetime table; the other modes predict
+  /// through CachingHeeb. Both sum the same dt-ascending terms, so the
+  /// scores are bit-identical.
   double DirectScore(Value v, const CachingContext& ctx) const;
 
   const StochasticProcess* reference_;
@@ -107,6 +112,15 @@ class HeebCachingPolicy final : public ScoredCachingPolicy {
   };
   std::unordered_map<Value, IncrementalState> cached_h_;
   Time state_time_ = -1;
+  // The reference's pmfs for the window [now, now + horizon], and L(dt)
+  // for dt = 1..horizon (the same doubles lifetime.At returns).
+  PredictionRing ring_;
+  std::vector<double> lifetime_flat_;
+  // One Corollary 4 pmf per elapsed step, shared by every cached value:
+  // the ring's entry for now, preceded on a longer gap by predictions of
+  // the earlier elapsed steps into advance_pmfs_.
+  std::vector<DiscreteDistribution> advance_pmfs_;
+  std::vector<PmfView> advance_views_;
 };
 
 }  // namespace sjoin

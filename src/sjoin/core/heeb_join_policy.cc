@@ -65,13 +65,13 @@ HeebJoinPolicy::HeebJoinPolicy(const StochasticProcess* r_process,
   for (Time dt = 1; dt <= horizon_; ++dt) {
     lifetime_flat_.push_back(lifetime.At(dt));
   }
+  if (options_.mode != Mode::kWalkTable) {
+    ring_ = PredictionRing({r_process_, s_process_}, horizon_);
+  }
 }
 
 void HeebJoinPolicy::Reset() {
-  predictions_[0].clear();
-  predictions_[1].clear();
-  predictions_time_ = -1;
-  flat_time_ = -1;
+  ring_.Reset();
   slots_.clear();
   slot_index_.clear();
   last_step_time_ = -1;
@@ -115,44 +115,36 @@ bool HeebJoinPolicy::ShardBeginStep(const PolicyContext& ctx,
                                     std::vector<TupleId>* decided) {
   (void)decided;
   if (options_.mode == Mode::kWalkTable) return true;  // Pure lookups.
-  if (options_.mode == Mode::kDirect) {
-    EnsurePredictions(ctx);
-    return true;
-  }
+  // Every direct sum of the step (kDirect, arrivals, re-anchors, the
+  // Corollary 5 fallback) reads the ring, so it is current before any
+  // scoring starts and stays read-only while the step scores.
+  const StreamHistory* histories[2] = {ctx.history_r, ctx.history_s};
+  ring_.Advance(ctx.now, histories);
+  if (options_.mode == Mode::kDirect) return true;
 
   SJOIN_CHECK_MSG(!ctx.window.has_value() ||
                       options_.mode == Mode::kTimeIncremental,
                   "value-incremental HEEB does not support sliding "
                   "windows; use kDirect or kTimeIncremental");
-  // Arrivals are scored with direct sums in kTimeIncremental, so it needs
-  // this step's predictions; kValueIncremental builds them only when an
-  // entry re-anchors or its transfer falls back to a direct sum.
-  if (options_.mode == Mode::kTimeIncremental) EnsurePredictions(ctx);
-
   advance_gap_ = last_step_time_ >= 0 ? ctx.now - last_step_time_ : 0;
   advance_e_ = std::exp(1.0 / options_.alpha);
   if (advance_gap_ > 0) {
-    // Entries crossing the refresh interval re-anchor with DirectScore,
-    // which reads this step's predictions; build them up front so scoring
-    // never mutates shared state.
-    for (const CachedState& state : slots_) {
-      if (state.updates_since_refresh + advance_gap_ >=
-          options_.refresh_interval) {
-        EnsurePredictions(ctx);
-        break;
-      }
-    }
     // One partner pmf per (cached side, elapsed step), shared by every
-    // entry of that side during the advance.
+    // entry of that side during the advance. The last elapsed step is now,
+    // a ring entry; only the earlier ones of a longer gap are predicted.
     for (StreamSide side : {StreamSide::kR, StreamSide::kS}) {
       StreamSide partner = Partner(side);
       auto& pmfs = advance_pmfs_[SideIndex(side)];
-      pmfs.resize(static_cast<std::size_t>(advance_gap_));
-      for (Time step = 1; step <= advance_gap_; ++step) {
-        process(partner)->PredictInto(
-            *history(partner, ctx), last_step_time_ + step,
-            &pmfs[static_cast<std::size_t>(step - 1)]);
+      auto& views = advance_views_[SideIndex(side)];
+      pmfs.resize(static_cast<std::size_t>(advance_gap_ - 1));
+      views.clear();
+      for (Time step = 1; step < advance_gap_; ++step) {
+        DiscreteDistribution& pmf = pmfs[static_cast<std::size_t>(step - 1)];
+        process(partner)->PredictInto(*history(partner, ctx),
+                                      last_step_time_ + step, &pmf);
+        views.push_back(PmfView::Of(pmf));
       }
+      views.push_back(PmfView::Of(ring_.At(SideIndex(partner), ctx.now)));
     }
   }
   last_step_time_ = ctx.now;
@@ -165,17 +157,14 @@ void HeebJoinPolicy::Advance(CachedState& state, const PolicyContext& ctx) {
   if (state.updates_since_refresh >= options_.refresh_interval) {
     // Re-anchor: the recurrence is an unstable iteration whose error grows
     // by e^{1/alpha} per step.
-    SJOIN_CHECK_EQ(predictions_time_, ctx.now);  // Built by the prologue.
     Tuple proxy{0, state.side, state.value, state.arrival};
     state.h = DirectScore(proxy, ctx);
     state.updates_since_refresh = 0;
     return;
   }
   // Corollary 3: H_t = e^{1/alpha} H_{t-1} - Pr{X^partner_t = v}.
-  const auto& pmfs = advance_pmfs_[SideIndex(state.side)];
-  for (Time step = 1; step <= advance_gap_; ++step) {
-    double p = pmfs[static_cast<std::size_t>(step - 1)].Prob(state.value);
-    state.h = advance_e_ * state.h - p;
+  for (const PmfView& pmf : advance_views_[SideIndex(state.side)]) {
+    state.h = advance_e_ * state.h - pmf.Prob(state.value);
     if (state.h < 0.0) state.h = 0.0;  // Guard truncation drift.
   }
 }
@@ -236,79 +225,46 @@ void HeebJoinPolicy::ShardScoreCachedBatch(const CandidateBatch& batch,
 }
 
 double HeebJoinPolicy::PartnerProbAt(StreamSide side, Value v, Time t,
-                                     const PolicyContext& ctx) const {
-  StreamSide partner = Partner(side);
-  return process(partner)->Predict(*history(partner, ctx), t).Prob(v);
+                                     const PolicyContext& ctx) {
+  const StreamSide partner = Partner(side);
+  if (ring_.Holds(SideIndex(partner), t)) {
+    return ring_.At(SideIndex(partner), t).Prob(v);
+  }
+  process(partner)->PredictInto(*history(partner, ctx), t, &partner_scratch_);
+  return partner_scratch_.Prob(v);
 }
 
-void HeebJoinPolicy::EnsurePredictions(const PolicyContext& ctx) {
-  const bool want_flat = options_.mode == Mode::kDirect;
-  if (predictions_time_ == ctx.now &&
-      (!want_flat || flat_time_ == ctx.now)) {
-    return;
+double HeebJoinPolicy::DirectSum(const PmfView* ahead, Value v,
+                                 Time max_dt) const {
+  // dt-ascending p * L; PmfView::Prob reads the identical doubles
+  // DiscreteDistribution::Prob returns, and lifetime_flat_ holds
+  // lifetime.At(dt), so every caller sums the same terms in the same order.
+  double h = 0.0;
+  for (Time dt = 1; dt <= max_dt; ++dt) {
+    const std::size_t k = static_cast<std::size_t>(dt - 1);
+    h += ahead[k].Prob(v) * lifetime_flat_[k];
   }
-  for (StreamSide side : {StreamSide::kR, StreamSide::kS}) {
-    auto& preds = predictions_[SideIndex(side)];
-    // Overwrite last step's pmfs in place: PredictInto reuses each slot's
-    // mass buffer, so the rebuild is allocation-free in steady state.
-    preds.resize(static_cast<std::size_t>(horizon_));
-    for (Time dt = 1; dt <= horizon_; ++dt) {
-      process(side)->PredictInto(*history(side, ctx), ctx.now + dt,
-                                 &preds[static_cast<std::size_t>(dt - 1)]);
-    }
-  }
-  predictions_time_ = ctx.now;
-  if (want_flat) FlattenPredictions();
-}
-
-void HeebJoinPolicy::FlattenPredictions() {
-  for (int s = 0; s < 2; ++s) {
-    const auto& preds = predictions_[s];
-    FlatPmfs& fp = flat_predictions_[s];
-    fp.masses.clear();
-    fp.offset.resize(preds.size());
-    fp.min.resize(preds.size());
-    fp.size.resize(preds.size());
-    for (std::size_t k = 0; k < preds.size(); ++k) {
-      const DiscreteDistribution& pmf = preds[k];
-      fp.offset[k] = fp.masses.size();
-      fp.min[k] = pmf.IsEmpty() ? 0 : pmf.MinValue();
-      fp.size[k] = static_cast<Value>(pmf.SupportSize());
-      fp.masses.insert(fp.masses.end(), pmf.masses().begin(),
-                       pmf.masses().end());
-    }
-  }
-  flat_time_ = predictions_time_;
+  return h;
 }
 
 double HeebJoinPolicy::DirectScore(const Tuple& tuple,
-                                   const PolicyContext& ctx) {
-  EnsurePredictions(ctx);
-  const LifetimeFn& lifetime =
-      options_.lifetime != nullptr
-          ? *options_.lifetime
-          : static_cast<const LifetimeFn&>(exp_lifetime_);
+                                   const PolicyContext& ctx) const {
+  SJOIN_CHECK_EQ(ring_.now(), ctx.now);  // Advanced by the prologue.
   Time max_dt = horizon_;
   if (ctx.window.has_value()) {
     // Section 7: contributions stop once the tuple leaves the window.
     Time remaining = tuple.arrival + *ctx.window - ctx.now;
     if (remaining < max_dt) max_dt = remaining;
   }
-  const auto& partner_preds = predictions_[SideIndex(Partner(tuple.side))];
-  double h = 0.0;
-  for (Time dt = 1; dt <= max_dt; ++dt) {
-    h += partner_preds[static_cast<std::size_t>(dt - 1)].Prob(tuple.value) *
-         lifetime.At(dt);
-  }
-  return h;
+  return DirectSum(ring_.Ahead(SideIndex(Partner(tuple.side))), tuple.value,
+                   max_dt);
 }
 
 void HeebJoinPolicy::DirectBatch(const CandidateBatch& batch,
-                                 const PolicyContext& ctx, double* out) {
-  // BeginStep / ShardBeginStep built and flattened this step's
-  // predictions; this may run inside the parallel phase, so it must not
-  // rebuild them here.
-  SJOIN_CHECK_EQ(flat_time_, ctx.now);
+                                 const PolicyContext& ctx,
+                                 double* out) const {
+  SJOIN_CHECK_EQ(ring_.now(), ctx.now);  // Advanced by the prologue.
+  const PmfView* ahead[2] = {ring_.Ahead(0), ring_.Ahead(1)};
   const bool windowed = ctx.window.has_value();
   const Time w = windowed ? *ctx.window : 0;
   for (std::size_t i = 0; i < batch.size; ++i) {
@@ -321,22 +277,9 @@ void HeebJoinPolicy::DirectBatch(const CandidateBatch& batch,
       Time remaining = batch.arrivals[i] + w - ctx.now;
       if (remaining < max_dt) max_dt = remaining;
     }
-    const FlatPmfs& fp = flat_predictions_[SideIndex(
-        Partner(static_cast<StreamSide>(batch.sides[i])))];
-    const Value v = batch.values[i];
-    // Same dt-ascending p * L summation as DirectScore; the gather reads
-    // the identical doubles Prob() would return (exact 0.0 off-support).
-    double h = 0.0;
-    for (Time dt = 1; dt <= max_dt; ++dt) {
-      const std::size_t k = static_cast<std::size_t>(dt - 1);
-      const Value off = v - fp.min[k];
-      const double p =
-          off >= 0 && off < fp.size[k]
-              ? fp.masses[fp.offset[k] + static_cast<std::size_t>(off)]
-              : 0.0;
-      h += p * lifetime_flat_[k];
-    }
-    out[i] = h;
+    out[i] = DirectSum(
+        ahead[SideIndex(Partner(static_cast<StreamSide>(batch.sides[i])))],
+        batch.values[i], max_dt);
   }
 }
 

@@ -9,6 +9,7 @@
 #include "sjoin/core/precompute.h"
 #include "sjoin/engine/scored_policy.h"
 #include "sjoin/stochastic/linear_trend_process.h"
+#include "sjoin/stochastic/prediction_ring.h"
 #include "sjoin/stochastic/process.h"
 #include "sjoin/stochastic/random_walk_process.h"
 
@@ -85,12 +86,15 @@ class HeebJoinPolicy final : public ScoredPolicy {
 
   // Sharded execution (see scored_policy.h). All four modes are
   // score-decomposable. Both engines share one prologue: ShardBeginStep
-  // builds the per-step partner pmfs once per (side, elapsed step) and
-  // every cached tuple of that side reads its Corollary 3 advance from
-  // them. The serial BeginStep then advances all entries in one sweep;
-  // the sharded step advances each lazily as it scores it. Either way a
-  // step costs 2·horizon + 2·gap predictions, independent of the cache
-  // size, and the advance arithmetic is the same.
+  // advances the prediction ring, and every cached tuple of a side reads
+  // its Corollary 3 advance from one partner pmf per elapsed step — the
+  // ring's entry for the current time, plus one fresh prediction per
+  // earlier elapsed step when the gap exceeds 1. The serial BeginStep then
+  // advances all entries in one sweep; the sharded step advances each
+  // lazily as it scores it. Either way the prediction count is independent
+  // of the cache size: on independent streams 2·(horizon + 1) on the first
+  // step and 2 per step at gap 1 after it. The advance arithmetic is the
+  // same.
   bool ShardBeginStep(const PolicyContext& ctx,
                       std::vector<TupleId>* decided) override;
   std::optional<ShardKey> ShardScoreCached(const Tuple& tuple,
@@ -119,11 +123,11 @@ class HeebJoinPolicy final : public ScoredPolicy {
   double Score(const Tuple& tuple, const PolicyContext& ctx) override;
   /// Batched scoring kernels. kWalkTable gathers from the per-side h1
   /// tables with the partner anchor hoisted out of the lane loop;
-  /// kDirect walks the flattened predictions (one contiguous mass array
-  /// per side) in the same dt-ascending per-lane order as DirectScore, so
-  /// scores are bit-identical to the scalar path. The incremental modes
-  /// fall back to per-lane Score() — their find-or-insert state mutation
-  /// defines the scoring order.
+  /// kDirect runs DirectSum over the ring's dt-ordered views, the same
+  /// dt-ascending per-lane sum as DirectScore, so scores are bit-identical
+  /// to the scalar path. The incremental modes fall back to per-lane
+  /// Score() — their find-or-insert state mutation defines the scoring
+  /// order.
   void ScoreBatchInto(const CandidateBatch& batch, const PolicyContext& ctx,
                       double* out) override;
 
@@ -141,27 +145,24 @@ class HeebJoinPolicy final : public ScoredPolicy {
   }
 
   /// Direct truncated-sum H for a tuple, honoring the sliding window.
-  double DirectScore(const Tuple& tuple, const PolicyContext& ctx);
+  /// Reads the ring, which the step prologue brought to ctx.now.
+  double DirectScore(const Tuple& tuple, const PolicyContext& ctx) const;
 
-  /// Builds this step's predictive pmfs if not already current. In
-  /// kDirect, also flattens them for the batch kernel (serial call sites
-  /// only; the parallel phase reads).
-  void EnsurePredictions(const PolicyContext& ctx);
+  /// Σ_{dt=1..max_dt} ahead[dt-1].Prob(v) · L(dt), summed dt-ascending;
+  /// the one kernel behind DirectScore and DirectBatch.
+  double DirectSum(const PmfView* ahead, Value v, Time max_dt) const;
 
-  /// Copies predictions_ into the contiguous per-side layout the kDirect
-  /// batch kernel gathers from.
-  void FlattenPredictions();
-
-  /// Probability that the partner of `side` produces `v` at time `t`.
+  /// Probability that the partner of `side` produces `v` at time `t`: the
+  /// ring's entry inside the window, a fresh prediction outside it.
   double PartnerProbAt(StreamSide side, Value v, Time t,
-                       const PolicyContext& ctx) const;
+                       const PolicyContext& ctx);
 
   /// Corollary 5 transfer for a new arrival (kValueIncremental).
   double ValueIncrementalScore(const Tuple& tuple, const PolicyContext& ctx);
 
   /// ScoreBatchInto bodies for the stateless modes.
   void DirectBatch(const CandidateBatch& batch, const PolicyContext& ctx,
-                   double* out);
+                   double* out) const;
   void WalkTableBatch(const CandidateBatch& batch, const PolicyContext& ctx,
                       double* out) const;
 
@@ -171,26 +172,15 @@ class HeebJoinPolicy final : public ScoredPolicy {
   ExpLifetime exp_lifetime_;
   Time horizon_;
 
-  // kDirect / arrival scoring: partner predictive pmfs for the current
-  // step, indexed [stream][dt-1].
-  std::vector<DiscreteDistribution> predictions_[2];
-  Time predictions_time_ = -1;
-
-  // kDirect batch kernel: predictions_ flattened to one contiguous mass
-  // array per side plus per-dt (offset, support min, support size) so the
-  // hot loop is a bounds-checked gather with no pointer chasing. Rebuilt
-  // by FlattenPredictions whenever predictions_ changes.
-  struct FlatPmfs {
-    std::vector<double> masses;       // Concatenated per-dt mass buffers.
-    std::vector<std::size_t> offset;  // Start of dt's masses, per dt.
-    std::vector<Value> min;           // Support min per dt (0 if empty).
-    std::vector<Value> size;          // Support size per dt.
-  };
-  FlatPmfs flat_predictions_[2];
-  Time flat_time_ = -1;
-  // L(dt) for dt = 1..horizon_, precomputed at construction. The kernel
-  // reads these instead of calling lifetime.At per (lane, dt); the values
-  // are the same doubles, so sums stay bit-identical.
+  // Partner predictive pmfs per stream (R = 0, S = 1) for the window
+  // [now, now + horizon]; every mode but kWalkTable advances it in the
+  // step prologue.
+  PredictionRing ring_;
+  // PartnerProbAt's prediction for a time outside the ring's window.
+  DiscreteDistribution partner_scratch_;
+  // L(dt) for dt = 1..horizon_, precomputed at construction. DirectSum
+  // reads these instead of calling the virtual lifetime.At per (tuple,
+  // dt); the values are the same doubles, so sums stay bit-identical.
   std::vector<double> lifetime_flat_;
 
   // Incremental modes: H values of cached tuples in a flat slot array
@@ -218,11 +208,14 @@ class HeebJoinPolicy final : public ScoredPolicy {
   Time last_step_time_ = -1;
 
   // Incremental advance: elapsed steps since the previous decision and the
-  // shared per-(cached side, elapsed step) partner pmfs Advance reads.
-  // Written in ShardBeginStep, read-only while the step scores.
+  // shared per-(cached side, elapsed step) partner pmfs Advance reads, in
+  // step order. The last is the ring's entry for now; the earlier ones
+  // (gap > 1 only) are predicted into advance_pmfs_. Written in
+  // ShardBeginStep, read-only while the step scores.
   Time advance_gap_ = 0;
   double advance_e_ = 1.0;
   std::vector<DiscreteDistribution> advance_pmfs_[2];
+  std::vector<PmfView> advance_views_[2];
 
   // kWalkTable: per-side lookup tables (indexed by the side of the cached
   // tuple; the table is built from the partner's walk). Borrowed from the

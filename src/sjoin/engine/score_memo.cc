@@ -32,21 +32,4 @@ void ScoreMemo::Store(int partner, Value value, Time max_dt,
                                                      subtotal};
 }
 
-void RebuildPredictions(
-    const std::vector<const StochasticProcess*>& processes,
-    const std::vector<StreamHistory>& histories, Time now, Time horizon,
-    std::vector<std::vector<DiscreteDistribution>>* predictions) {
-  const auto n = processes.size();
-  SJOIN_CHECK_EQ(histories.size(), n);
-  predictions->resize(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    auto& preds = (*predictions)[s];
-    preds.resize(static_cast<std::size_t>(horizon));
-    for (Time dt = 1; dt <= horizon; ++dt) {
-      processes[s]->PredictInto(histories[s], now + dt,
-                                &preds[static_cast<std::size_t>(dt - 1)]);
-    }
-  }
-}
-
 }  // namespace sjoin

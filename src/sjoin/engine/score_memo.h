@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "sjoin/common/types.h"
-#include "sjoin/stochastic/process.h"
-#include "sjoin/stochastic/stream_history.h"
 
 /// \file
 /// Per-step memo of per-partner score subtotals (DESIGN.md §2f).
@@ -66,15 +64,6 @@ class ScoreMemo {
   std::vector<std::unordered_map<Value, Entry>> memo_;
   Stats stats_;
 };
-
-/// Rebuilds `(*predictions)[s][dt-1]` = stream s's predictive pmf for time
-/// `now + dt`, dt = 1..horizon, in place (PredictInto reuses each slot's
-/// buffer, so the steady state allocates nothing). Shared by every policy
-/// that scores against partner predictions.
-void RebuildPredictions(
-    const std::vector<const StochasticProcess*>& processes,
-    const std::vector<StreamHistory>& histories, Time now, Time horizon,
-    std::vector<std::vector<DiscreteDistribution>>* predictions);
 
 }  // namespace sjoin
 

@@ -21,17 +21,17 @@ MultiHeebPolicy::MultiHeebPolicy(
     SJOIN_CHECK(process != nullptr);
   }
   SJOIN_CHECK_GE(options_.horizon, 1);
+  ring_ = PredictionRing(processes_, options_.horizon);
 }
 
 void MultiHeebPolicy::Reset() {
+  ring_.Reset();
   memo_.Reset(simulator_->num_streams());
 }
 
 std::vector<TupleId> MultiHeebPolicy::SelectRetained(
     const MultiPolicyContext& ctx) {
-  // Predictive pmfs per stream for the current step, rebuilt in place.
-  RebuildPredictions(processes_, *ctx.histories, ctx.now, options_.horizon,
-                     &predictions_);
+  ring_.Advance(ctx.now, *ctx.histories);
   ScoreMemo* memo = options_.use_score_cache ? &memo_ : nullptr;
   if (memo != nullptr) memo->BeginStep();
 
@@ -48,11 +48,9 @@ std::vector<TupleId> MultiHeebPolicy::SelectRetained(
       double subtotal = 0.0;
       if (memo == nullptr ||
           !memo->Lookup(partner, tuple.value, max_dt, &subtotal)) {
-        const auto& preds = predictions_[static_cast<std::size_t>(partner)];
+        const PmfView* ahead = ring_.Ahead(partner);
         for (Time dt = 1; dt <= max_dt; ++dt) {
-          subtotal +=
-              preds[static_cast<std::size_t>(dt - 1)].Prob(tuple.value) *
-              lifetime_.At(dt);
+          subtotal += ahead[dt - 1].Prob(tuple.value) * lifetime_.At(dt);
         }
         if (memo != nullptr) {
           memo->Store(partner, tuple.value, max_dt, subtotal);

@@ -7,6 +7,7 @@
 #include "sjoin/core/lifetime_fn.h"
 #include "sjoin/engine/score_memo.h"
 #include "sjoin/multi/multi_join_simulator.h"
+#include "sjoin/stochastic/prediction_ring.h"
 #include "sjoin/stochastic/process.h"
 
 /// \file
@@ -52,9 +53,8 @@ class MultiHeebPolicy final : public MultiReplacementPolicy {
   const MultiJoinSimulator* simulator_;
   Options options_;
   ExpLifetime lifetime_;
-  // Per-step predictive pmfs, [stream][dt-1]; kept as a member and
-  // overwritten in place so the per-step rebuild does not allocate.
-  std::vector<std::vector<DiscreteDistribution>> predictions_;
+  // Per-stream predictive pmfs for the next `horizon` times.
+  PredictionRing ring_;
   ScoreMemo memo_;
 };
 

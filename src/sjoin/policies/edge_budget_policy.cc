@@ -23,6 +23,7 @@ EdgeBudgetPolicy::EdgeBudgetPolicy(
   SJOIN_CHECK_GE(options_.horizon, 1);
   SJOIN_CHECK_GE(options_.realloc_interval, 1);
   SJOIN_CHECK(options_.decay > 0.0 && options_.decay <= 1.0);
+  ring_ = PredictionRing(processes_, options_.horizon);
 }
 
 void EdgeBudgetPolicy::Reset() {
@@ -31,6 +32,7 @@ void EdgeBudgetPolicy::Reset() {
   window_mass_.assign(edges, 0.0);
   budgets_.clear();  // Re-apportioned on the first step.
   realloc_checkpoints_ = 0;
+  ring_.Reset();
   memo_.Reset(topology_->num_streams());
   edge_ranked_.assign(edges, {});
 }
@@ -77,10 +79,9 @@ double EdgeBudgetPolicy::PartnerSubtotal(int partner, Value value,
   if (memo != nullptr && memo->Lookup(partner, value, max_dt, &subtotal)) {
     return subtotal;
   }
-  const auto& preds = predictions_[static_cast<std::size_t>(partner)];
+  const PmfView* ahead = ring_.Ahead(partner);
   for (Time dt = 1; dt <= max_dt; ++dt) {
-    subtotal += preds[static_cast<std::size_t>(dt - 1)].Prob(value) *
-                lifetime_.At(dt);
+    subtotal += ahead[dt - 1].Prob(value) * lifetime_.At(dt);
   }
   if (memo != nullptr) memo->Store(partner, value, max_dt, subtotal);
   return subtotal;
@@ -89,8 +90,7 @@ double EdgeBudgetPolicy::PartnerSubtotal(int partner, Value value,
 std::vector<TupleId> EdgeBudgetPolicy::SelectRetained(
     const EngineContext& ctx) {
   const auto& edges = topology_->join_edges();
-  RebuildPredictions(processes_, *ctx.histories, ctx.now, options_.horizon,
-                     &predictions_);
+  ring_.Advance(ctx.now, *ctx.histories);
   ScoreMemo* memo = options_.use_score_cache ? &memo_ : nullptr;
   if (memo != nullptr) memo->BeginStep();
 

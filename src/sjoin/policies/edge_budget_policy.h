@@ -9,6 +9,7 @@
 #include "sjoin/engine/ranked_select.h"
 #include "sjoin/engine/score_memo.h"
 #include "sjoin/engine/stream_engine.h"
+#include "sjoin/stochastic/prediction_ring.h"
 #include "sjoin/stochastic/process.h"
 
 /// \file
@@ -79,7 +80,8 @@ class EdgeBudgetPolicy final : public EnginePolicy {
   Options options_;
   ExpLifetime lifetime_;
 
-  std::vector<std::vector<DiscreteDistribution>> predictions_;
+  // Per-stream predictive pmfs for the next `horizon` times.
+  PredictionRing ring_;
   ScoreMemo memo_;
 
   /// Benefit mass per edge: decayed history + the current window.

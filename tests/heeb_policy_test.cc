@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sjoin/common/rng.h"
+#include "sjoin/common/validate.h"
 #include "sjoin/engine/join_simulator.h"
 #include "sjoin/policies/prob_policy.h"
 #include "sjoin/stochastic/linear_trend_process.h"
@@ -303,25 +304,38 @@ class CountingProcess final : public StochasticProcess {
 };
 
 // Runs the wrapped HEEB through the serial engine and audits every step:
-// the predictions it made, and its incremental state against the ids it
-// retained.
+// the predictions it made (`first_step_calls` on the first step,
+// `step_calls` on every later one), and, for the incremental modes, its
+// state against the ids it retained.
 class StepAuditPolicy final : public ReplacementPolicy {
  public:
   StepAuditPolicy(HeebJoinPolicy* heeb, const CountingProcess* r,
-                  const CountingProcess* s, Time horizon)
-      : heeb_(heeb), r_(r), s_(s), horizon_(horizon) {}
+                  const CountingProcess* s, std::int64_t first_step_calls,
+                  std::int64_t step_calls, bool audit_state)
+      : heeb_(heeb),
+        r_(r),
+        s_(s),
+        first_step_calls_(first_step_calls),
+        step_calls_(step_calls),
+        audit_state_(audit_state) {}
 
   std::vector<TupleId> SelectRetained(const PolicyContext& ctx) override {
     const std::int64_t before = r_->calls + s_->calls;
     std::vector<TupleId> retained = heeb_->SelectRetained(ctx);
-    const Time gap = last_now_ >= 0 ? ctx.now - last_now_ : 0;
+    const bool first = last_now_ < 0;
+    if (!first) {
+      EXPECT_EQ(ctx.now - last_now_, 1) << "step " << ctx.now;
+    }
     last_now_ = ctx.now;
-    EXPECT_EQ(r_->calls + s_->calls - before, 2 * horizon_ + 2 * gap)
+    EXPECT_EQ(r_->calls + s_->calls - before,
+              first ? first_step_calls_ : step_calls_)
         << "step " << ctx.now << " with " << ctx.cached->size()
         << " cached tuples";
-    EXPECT_EQ(heeb_->num_states(), retained.size()) << "step " << ctx.now;
-    for (TupleId id : retained) {
-      EXPECT_TRUE(heeb_->HasState(id)) << "step " << ctx.now;
+    if (audit_state_) {
+      EXPECT_EQ(heeb_->num_states(), retained.size()) << "step " << ctx.now;
+      for (TupleId id : retained) {
+        EXPECT_TRUE(heeb_->HasState(id)) << "step " << ctx.now;
+      }
     }
     max_cached = std::max(max_cached, ctx.cached->size());
     return retained;
@@ -337,15 +351,20 @@ class StepAuditPolicy final : public ReplacementPolicy {
   HeebJoinPolicy* heeb_;
   const CountingProcess* r_;
   const CountingProcess* s_;
-  Time horizon_;
+  std::int64_t first_step_calls_;
+  std::int64_t step_calls_;
+  bool audit_state_;
   Time last_now_ = -1;
 };
 
 TEST(HeebJoinPolicyTest, TimeIncrementalStepPredictsIndependentOfCacheSize) {
-  // The paper's TOWER (Section 6.1). A serial kTimeIncremental step builds
-  // the arrivals' horizon-many pmfs per side plus one shared Corollary 3
-  // pmf per side and elapsed step — never one per cached tuple — and its
-  // epilogue leaves state for exactly the retained ids.
+  // The paper's TOWER (Section 6.1). Both streams are independent, so the
+  // prediction ring builds the window [now, now + horizon] once per side
+  // and then predicts one new time per side and step; the Corollary 3
+  // advance reads the ring's entry for now, and the arrivals' direct sums
+  // read the rest. No step predicts per cached tuple, and the epilogue
+  // leaves state for exactly the retained ids. A SJOIN_VALIDATE build
+  // re-predicts the window's two ends per side on every reusing advance.
   LinearTrendProcess tower_r(
       1.0, -1.0,
       DiscreteDistribution::TruncatedDiscretizedNormal(0.0, 1.0, -10, 10));
@@ -362,10 +381,38 @@ TEST(HeebJoinPolicyTest, TimeIncrementalStepPredictsIndependentOfCacheSize) {
     options.alpha = ExpLifetime::AlphaForAverageLifetime(12.5);
     options.horizon = 150;
     HeebJoinPolicy heeb(&r, &s, options);
-    StepAuditPolicy audit(&heeb, &r, &s, options.horizon);
+    StepAuditPolicy audit(&heeb, &r, &s, 2 * (options.horizon + 1),
+                          2 + (kValidationEnabled ? 4 : 0),
+                          /*audit_state=*/true);
     JoinSimulator sim({.capacity = capacity, .warmup = 0});
     sim.Run(pair.r, pair.s, audit);
     // The large cache must actually fill for the count to mean anything.
+    EXPECT_GE(audit.max_cached, capacity * 3 / 4) << "capacity " << capacity;
+  }
+}
+
+TEST(HeebJoinPolicyTest, DirectStepRepredictsHistoryDependentStreams) {
+  // A random walk's pmf of X_T depends on the last observed value, so the
+  // ring keeps nothing across steps: every kDirect step predicts the
+  // whole horizon for both sides, whatever the cache size.
+  RandomWalkProcess walk_r(DiscreteDistribution::DiscretizedNormal(0.0, 1.0),
+                           0);
+  RandomWalkProcess walk_s(DiscreteDistribution::DiscretizedNormal(0.0, 1.0),
+                           0);
+  Rng rng(22);
+  auto pair = SampleStreamPair(walk_r, walk_s, 200, rng);
+  for (std::size_t capacity : {std::size_t{5}, std::size_t{50}}) {
+    CountingProcess r(&walk_r);
+    CountingProcess s(&walk_s);
+    HeebJoinPolicy::Options options;
+    options.mode = HeebJoinPolicy::Mode::kDirect;
+    options.alpha = 5.0;
+    options.horizon = 40;
+    HeebJoinPolicy heeb(&r, &s, options);
+    StepAuditPolicy audit(&heeb, &r, &s, 2 * options.horizon,
+                          2 * options.horizon, /*audit_state=*/false);
+    JoinSimulator sim({.capacity = capacity, .warmup = 0});
+    sim.Run(pair.r, pair.s, audit);
     EXPECT_GE(audit.max_cached, capacity * 3 / 4) << "capacity " << capacity;
   }
 }
